@@ -13,42 +13,60 @@ The result feeds an interference (conflict) graph over registers:
 * registers *written* in one arm of a ``par`` conflict with registers
   *accessed* in any sibling arm (arms run concurrently, so a merged
   register would be clobbered mid-flight).
+
+Register sets are int bitmasks (bit ``i`` is the ``i``-th register by
+sorted name); the graph is one neighbour mask per register.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 from repro.ir.ast import Component
 from repro.analysis.pcfg import Pcfg, PcfgNode, build_pcfg
-from repro.analysis.read_write import (
-    AccessSets,
-    continuous_registers,
-    group_accesses,
-    invoke_accesses,
-    registers_of,
-)
+from repro.analysis.read_write import AccessSets, continuous_registers
+from repro.analysis.read_write import group_accesses, invoke_accesses, registers_of
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class LivenessResult:
-    """Per-node live-in/live-out sets plus the register conflict graph."""
+    """Per-node live-in/live-out masks plus the register conflict graph."""
 
-    def __init__(self) -> None:
-        self.live_in: Dict[int, Set[str]] = {}
-        self.live_out: Dict[int, Set[str]] = {}
-        self.conflicts: Set[FrozenSet[str]] = set()
+    def __init__(self, names: List[str]) -> None:
+        self.names = names
+        self.index = {name: i for i, name in enumerate(names)}
+        self.live_in_masks: Dict[int, int] = {}
+        self.live_out_masks: Dict[int, int] = {}
+        #: ``rows[i]`` is the neighbour mask of register ``names[i]``.
+        self.rows: List[int] = [0] * len(names)
 
-    def add_conflict(self, a: str, b: str) -> None:
-        if a != b:
-            self.conflicts.add(frozenset((a, b)))
+    def mask(self, names: Iterable[str]) -> int:
+        return sum(1 << self.index[name] for name in set(names))
+
+    def decode(self, mask: int) -> Set[str]:
+        return {self.names[i] for i in _bits(mask)}
+
+    def _decode_all(self, masks: Dict[int, int]) -> Dict[int, Set[str]]:
+        return {nid: self.decode(mask) for nid, mask in masks.items()}
+
+    #: Live sets by node id, as register names.
+    live_in = property(lambda self: self._decode_all(self.live_in_masks))
+    live_out = property(lambda self: self._decode_all(self.live_out_masks))
+
+    def conflicts_within(self, names: List[str]) -> Dict[str, Set[str]]:
+        """Conflict adjacency of ``names`` restricted to ``names``."""
+        within = self.mask(names)
+        return {n: self.decode(self.rows[self.index[n]] & within) for n in names}
 
     def conflict_map(self) -> Dict[str, Set[str]]:
-        adj: Dict[str, Set[str]] = {}
-        for pair in self.conflicts:
-            a, b = tuple(pair)
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        return adj
+        return {self.names[i]: self.decode(r) for i, r in enumerate(self.rows) if r}
 
 
 class LivenessAnalysis:
@@ -59,123 +77,105 @@ class LivenessAnalysis:
         self.registers = registers_of(comp)
         self.pinned = continuous_registers(comp)
         self.graph = build_pcfg(comp)
-        self._accesses: Dict[int, AccessSets] = {}
-        self.result = LivenessResult()
-        self._run()
+        self.result = LivenessResult(sorted(self.registers))
+        self._accesses: Dict[int, Tuple[int, int, int]] = {}
+        self._must: Dict[Pcfg, int] = {}
+        self._changed = True
+        while self._changed:  # until no live set changes, in any sub-graph
+            self._changed = False
+            self._analyze(self.graph, exit_live=0)
+        self._collect_conflicts(self.graph)
 
-    # -- access sets ------------------------------------------------------
-    def accesses(self, node: PcfgNode) -> AccessSets:
+    def accesses(self, node: PcfgNode) -> Tuple[int, int, int]:
+        """``(reads, may_writes, must_writes)`` register masks of a node."""
         if node.id not in self._accesses:
+            sets = AccessSets()
             if node.kind == "group" and node.group is not None:
                 group = self.comp.get_group(node.group)
                 sets = group_accesses(self.comp, group, self.registers)
             elif node.kind == "invoke" and node.invoke is not None:
                 sets = invoke_accesses(node.invoke, self.registers)
-            else:
-                sets = AccessSets()
-            self._accesses[node.id] = sets
+            regs = (sets.reads, sets.may_writes, sets.must_writes)
+            self._accesses[node.id] = tuple(map(self.result.mask, regs))
         return self._accesses[node.id]
 
     # -- dataflow ------------------------------------------------------------
-    def _run(self) -> None:
-        changed = True
-        while changed:
-            changed = self._analyze(self.graph, exit_live=set())
-        self._collect_conflicts(self.graph)
-
-    def _analyze(self, graph: Pcfg, exit_live: Set[str]) -> bool:
-        """One backward sweep; returns whether any live set changed."""
-        changed = False
+    def _analyze(self, graph: Pcfg, exit_live: int) -> None:
+        """One backward sweep; flags whether any live set changed."""
+        live_in = self.result.live_in_masks
+        live_out = self.result.live_out_masks
         for node in reversed(graph.nodes):
-            if node is graph.exit:
-                out = set(exit_live)
-            else:
-                out = set()
+            out = exit_live if node is graph.exit else 0
             for succ in node.succs:
-                out |= self.result.live_in.get(succ.id, set())
-            if node is graph.exit:
-                out |= exit_live
-            if out != self.result.live_out.get(node.id, set()):
-                self.result.live_out[node.id] = out
-                changed = True
-            live_in = self._transfer(node, out)
-            if live_in != self.result.live_in.get(node.id, set()):
-                self.result.live_in[node.id] = live_in
-                changed = True
-        return changed
+                out |= live_in.get(succ.id, 0)
+            new_in = self._transfer(node, out)
+            if out != live_out.get(node.id, 0) or new_in != live_in.get(node.id, 0):
+                live_out[node.id], live_in[node.id] = out, new_in
+                self._changed = True
 
-    def _transfer(self, node: PcfgNode, live_out: Set[str]) -> Set[str]:
+    def _transfer(self, node: PcfgNode, live_out: int) -> int:
         if node.kind == "par":
             # Paper rule: each child's exit live set is the p-node's
             # live-out; the p-node's live-in joins child entry live-ins
             # with registers that survive every child.
-            child_ins: Set[str] = set()
-            killed_by_all: Set[str] = set(self.registers)
+            child_ins = 0
+            killed_by_all = -1
             for child in node.children:
                 # Children iterate inside the outer fixpoint loop.
                 self._analyze(child, exit_live=live_out)
-                child_ins |= self.result.live_in.get(child.entry.id, set())
+                child_ins |= self.result.live_in_masks.get(child.entry.id, 0)
                 killed_by_all &= self._must_writes(child)
-            return child_ins | (live_out - killed_by_all)
-        sets = self.accesses(node)
-        return sets.reads | (live_out - sets.must_writes)
+            return child_ins | (live_out & ~killed_by_all)
+        reads, _, must_writes = self.accesses(node)
+        return reads | (live_out & ~must_writes)
 
-    def _must_writes(self, graph: Pcfg) -> Set[str]:
-        """Registers certainly written somewhere along every path.
+    def _must_writes(self, graph: Pcfg) -> int:
+        """Registers certainly written on every path (computed once).
 
-        Conservative: only counts nodes that dominate the exit trivially
-        (straight-line members); a register written under a branch may not
-        be written at all.
+        Conservative: only straight-line members count.
         """
-        must: Set[str] = set()
-        for node in graph.nodes:
-            # A node with no alternative paths around it: in our builder,
-            # straight-line chains are the common case; branch/loop bodies
-            # hang off cond nodes which have multiple successors.
-            if node.kind in ("group", "invoke") and len(node.preds) <= 1:
-                only_path = all(len(p.succs) == 1 for p in node.preds)
-                if only_path:
-                    must |= self.accesses(node).must_writes
-            if node.kind == "par":
+        if graph not in self._must:
+            must = 0
+            for node in graph.nodes:
+                if node.kind in ("group", "invoke") and len(node.preds) <= 1:
+                    if all(len(p.succs) == 1 for p in node.preds):
+                        must |= self.accesses(node)[2]
                 for child in node.children:
                     must |= self._must_writes(child)
-        return must
+            self._must[graph] = must
+        return self._must[graph]
 
     # -- conflicts ------------------------------------------------------------
     def _collect_conflicts(self, graph: Pcfg) -> None:
+        # (registers, what each of them conflicts with); many nodes share
+        # the same live sets, so each distinct pair is applied once.
+        pairs: Set[Tuple[int, int]] = set()
         for node in graph.walk():
-            out = self.result.live_out.get(node.id, set())
-            live = self.result.live_in.get(node.id, set())
-            sets = self.accesses(node)
-            for written in sets.may_writes:
-                for other in out:
-                    self.result.add_conflict(written, other)
-            live_list = sorted(live)
-            for i, a in enumerate(live_list):
-                for b in live_list[i + 1 :]:
-                    self.result.add_conflict(a, b)
+            live_in = self.result.live_in_masks.get(node.id, 0)
+            pairs.add((live_in, live_in))
+            out = self.result.live_out_masks.get(node.id, 0)
+            pairs.add((self.accesses(node)[1], out))
             if node.kind == "par":
-                arm_sets = [self._arm_accesses(child) for child in node.children]
-                for i in range(len(arm_sets)):
-                    for j in range(len(arm_sets)):
-                        if i == j:
-                            continue
-                        for written in arm_sets[i][1]:
-                            for accessed in arm_sets[j][0]:
-                                self.result.add_conflict(written, accessed)
+                arms = [self._arm_accesses(child) for child in node.children]
+                seen = shared = 0  # accessed by any arm / by two or more
+                for accessed, _ in arms:
+                    shared |= seen & accessed
+                    seen |= accessed
+                for accessed, written in arms:
+                    pairs.add((written, (seen & ~accessed) | shared))
+        rows = self.result.rows
+        for regs, others in pairs:
+            for i in _bits(regs):
+                rows[i] |= others & ~(1 << i)
+        for i, row in enumerate(rows):  # make the graph symmetric
+            for j in _bits(row):
+                rows[j] |= 1 << i
 
-    def _arm_accesses(self, graph: Pcfg) -> Tuple[Set[str], Set[str]]:
-        """(accessed, written) register sets of one par arm."""
-        accessed: Set[str] = set()
-        written: Set[str] = set()
+    def _arm_accesses(self, graph: Pcfg) -> Tuple[int, int]:
+        """(accessed, written) register masks of one par arm."""
+        accessed = written = 0
         for node in graph.walk():
-            sets = self.accesses(node)
-            accessed |= sets.accessed()
-            written |= sets.may_writes
+            reads, may_writes, _ = self.accesses(node)
+            accessed |= reads | may_writes
+            written |= may_writes
         return accessed, written
-
-
-def register_conflicts(comp: Component) -> Tuple[Dict[str, Set[str]], Set[str]]:
-    """Convenience wrapper: (conflict adjacency, pinned registers)."""
-    analysis = LivenessAnalysis(comp)
-    return analysis.result.conflict_map(), analysis.pinned

@@ -32,9 +32,6 @@ class AccessSets:
     may_writes: Set[str] = field(default_factory=set)
     must_writes: Set[str] = field(default_factory=set)
 
-    def accessed(self) -> Set[str]:
-        return self.reads | self.may_writes
-
 
 def registers_of(comp: Component) -> Set[str]:
     """Names of all ``std_reg`` cells in the component."""

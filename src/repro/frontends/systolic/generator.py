@@ -90,9 +90,9 @@ def generate_systolic_array(
     left_regs: Dict[Tuple[int, int], CellHandle] = {}
     for r in range(rows):
         for c in range(cols):
-            pes[(r, c)] = main.cell(f"pe_{r}{c}", pe_comp.name)
-            top_regs[(r, c)] = main.reg(f"top_{r}{c}", width)
-            left_regs[(r, c)] = main.reg(f"left_{r}{c}", width)
+            pes[(r, c)] = main.cell(f"pe_{r}_{c}", pe_comp.name)
+            top_regs[(r, c)] = main.reg(f"top_{r}_{c}", width)
+            left_regs[(r, c)] = main.reg(f"left_{r}_{c}", width)
     top_idx = [main.reg(f"t{c}_idx", mem_bits) for c in range(cols)]
     left_idx = [main.reg(f"l{r}_idx", mem_bits) for r in range(rows)]
     top_adds = [main.add(f"t{c}_add", mem_bits) for c in range(cols)]
@@ -134,12 +134,12 @@ def generate_systolic_array(
         for r in range(rows)
     ]
     move_down = {
-        (r, c): move_group(f"down_{r}{c}", top_regs[(r, c)], top_regs[(r + 1, c)])
+        (r, c): move_group(f"down_{r}_{c}", top_regs[(r, c)], top_regs[(r + 1, c)])
         for r in range(rows - 1)
         for c in range(cols)
     }
     move_right = {
-        (r, c): move_group(f"right_{r}{c}", left_regs[(r, c)], left_regs[(r, c + 1)])
+        (r, c): move_group(f"right_{r}_{c}", left_regs[(r, c)], left_regs[(r, c + 1)])
         for r in range(rows)
         for c in range(cols - 1)
     }
@@ -147,7 +147,7 @@ def generate_systolic_array(
     # -- compute groups ----------------------------------------------------
     compute: Dict[Tuple[int, int], GroupBuilder] = {}
     for (r, c), pe in pes.items():
-        with main.group(f"pe_go_{r}{c}") as g:
+        with main.group(f"pe_go_{r}_{c}") as g:
             g.assign(pe.port("top"), top_regs[(r, c)].out)
             g.assign(pe.port("left"), left_regs[(r, c)].out)
             g.assign(pe.port("go"), 1, guard=NotGuard(PortGuard(pe.port("done"))))
@@ -158,7 +158,7 @@ def generate_systolic_array(
     drain: List[GroupBuilder] = []
     for r in range(rows):
         for c in range(cols):
-            with main.group(f"drain_{r}{c}") as g:
+            with main.group(f"drain_{r}_{c}") as g:
                 g.assign(out_mem.addr0, const(out_bits, r * cols + c))
                 g.assign(out_mem.write_data, pes[(r, c)].port("out"))
                 g.assign(out_mem.write_en, 1)

@@ -47,9 +47,6 @@ PIPELINES: Dict[str, List[str]] = {
     # Ablations for Figure 9a/9b: exactly one sharing pass enabled.
     "resource-share-only": _FRONT + ["resource-sharing", "infer-latency"] + _BACK_STATIC,
     "register-share-only": _FRONT + ["register-sharing", "infer-latency"] + _BACK_STATIC,
-    "both-share": _FRONT
-    + ["resource-sharing", "register-sharing", "infer-latency"]
-    + _BACK_STATIC,
     # Figure 9c: sharing on, Sensitive off/on.
     "no-static": _FRONT + ["resource-sharing", "register-sharing"] + _BACK,
     # Section 9 extension: cost-model-guided sharing instead of greedy.

@@ -200,6 +200,28 @@ class TestLiveness:
         # a writes r0, b reads r0 in a sibling arm: cross-arm conflict.
         assert "r1" in adj.get("r0", set())
 
+    def test_loop_in_par_arm_reaches_fixpoint(self):
+        # r2 is read after the par, so it stays live all around the loop
+        # nested in the other arm; that takes more sweeps of the arm than
+        # the top-level graph needs to settle.
+        read_r2 = "group d { r0.in = r2.out; r0.write_en = 1; d[done] = r0.done; }"
+        comp = comp_of(
+            "seq { par { c; if lt.out with cond {"
+            " while lt.out with cond { seq { a; b; } } } } d; }",
+            read_r2,
+        )
+        analysis = LivenessAnalysis(comp)
+        node_b = next(n for n in analysis.graph.walk() if n.group == "b")
+        assert "r2" in analysis.result.live_out[node_b.id]
+
+    def test_par_kills_what_every_arm_writes(self):
+        comp = comp_of("seq { par { a; } b; }")
+        analysis = LivenessAnalysis(comp)
+        par = next(n for n in analysis.graph.nodes if n.kind == "par")
+        # b reads r0, but the only arm overwrites it first.
+        assert "r0" in analysis.result.live_out[par.id]
+        assert "r0" not in analysis.result.live_in[par.id]
+
     def test_pinned_registers_excluded(self):
         src = """
 component main(go: 1) -> (done: 1) {

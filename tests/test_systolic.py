@@ -53,7 +53,16 @@ class TestGeneration:
             for p in pars
             if any("pe_go" in g for g in p.enabled_groups())
         ]
-        assert first_computes[0] == ["pe_go_00"]
+        assert first_computes[0] == ["pe_go_0_0"]
+
+    def test_names_unique_past_ten_rows(self):
+        # Row 1, column 10 and row 11, column 0 must not share a name.
+        prog = generate_systolic_array(SystolicConfig.square(12))
+        main = prog.main
+        assert {"pe_1_10", "pe_11_0"} <= set(main.cells)
+        assert len([c for c in main.cells.values() if c.comp_name == "mac_pe"]) == 144
+        compile_program(prog, "all")
+        validate_program(prog)
 
     def test_rectangular_arrays(self):
         cfg = SystolicConfig(rows=2, cols=3, inner=2)
@@ -108,7 +117,7 @@ class TestLatencyInference:
         get_pass("infer-latency").run(prog)
         pe = prog.get_component("mac_pe")
         assert pe.attributes.get(STATIC) == 5  # 4-cycle mult + 1-cycle acc
-        assert prog.main.get_group("pe_go_00").attributes.get(STATIC) == 5
+        assert prog.main.get_group("pe_go_0_0").attributes.get(STATIC) == 5
         assert prog.main.get_group("t0").attributes.get(STATIC) == 1
 
     def test_sensitive_speedup_matches_paper(self):
