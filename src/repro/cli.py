@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_MAX_CYCLES,
         help="cycle budget per execution",
     )
-    add_engine(p_diff)
+    add_engine(p_diff, default="sweep")
 
     p_dahlia = sub.add_parser("dahlia", help="compile a mini-Dahlia program")
     p_dahlia.add_argument("file")
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="regenerate a paper figure")
     p_eval.add_argument("figure", choices=["fig7", "fig8", "fig9", "stats"])
-    add_engine(p_eval, default="levelized")
+    add_engine(p_eval)
     p_eval.add_argument(
         "--emit-json",
         metavar="FILE",

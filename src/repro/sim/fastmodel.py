@@ -6,18 +6,21 @@ clock phase. Most of a lowered Calyx design is a static combinational
 netlist, so that work can be scheduled once, at construction:
 
 * every port reference is assigned an integer *slot* in a flat value
-  array; guards and sources are precompiled into closures over slots,
-  replacing dict-keyed ``PortRef`` reads,
+  array, replacing dict-keyed ``PortRef`` reads,
 * a port-level dependency graph is extracted from the assignments and the
   primitive models' declared combinational dependencies
   (``PrimitiveModel.comb_deps``), condensed into strongly connected
   components, and topologically *levelized*,
-* evaluation is event-driven: a dirty set (seeded by input changes, clock
-  edges, and control-state transitions) is drained in level order, so only
-  work downstream of an actual change re-runs. Acyclic regions evaluate at
-  most once per phase; genuine combinational cycles fall back to bounded
-  fixpoint iteration inside their SCC, preserving
-  :class:`~repro.errors.OscillationError` /
+* each component gets generated straight-line Python ``drain`` code that
+  visits its SCCs in level order, with every guard inlined as one boolean
+  expression over the slot list. It is compiled in chunks of a few KB
+  (a whole-component module costs a large transient AST), once per
+  component per engine build, and shared by that component's instances,
+* evaluation is event-driven: per-SCC dirty flags (set by input changes,
+  clock edges, and control-state transitions) gate each block of the
+  drain. Acyclic regions evaluate at most once per phase; genuine
+  combinational cycles fall back to bounded fixpoint iteration inside
+  their SCC, preserving :class:`~repro.errors.OscillationError` /
   :class:`~repro.errors.CombinationalLoopError` semantics.
 
 The class mirrors :class:`~repro.sim.model.ComponentInstance`'s protocol
@@ -31,8 +34,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import MutableMapping
-from heapq import heappop, heappush
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import (
     CombinationalLoopError,
@@ -79,17 +81,26 @@ _CMP_FNS: Dict[str, Callable[[int, int], bool]] = {
 
 _EMPTY: frozenset = frozenset()
 
+#: Source length at which a drain chunk is closed and compiled. Small
+#: units keep the transient AST of ``compile()`` (and so peak memory)
+#: small; much smaller ones pay a function call per resolver.
+_CHUNK_SOURCE = 3000
+
+# Operator precedence of an emitted expression, loosest first.
+_OR, _AND, _NOT, _ATOM = range(4)
+
 
 # ---------------------------------------------------------------------------
-# Guard / source compilation to closures over integer slots
+# Guard / source compilation to Python expressions over integer slots
 # ---------------------------------------------------------------------------
 
 
 class _GuardCompiler:
-    """Compiles guard trees into ``fn(values) -> bool`` closures.
+    """Emits a guard tree as one Python boolean expression over ``v``.
 
-    Also records every slot the compiled closure reads, which becomes the
-    dependency edges of the assignment's resolver node.
+    ``and``/``or`` chains come out flat, parenthesized only where
+    precedence requires. Also records every slot the expression reads,
+    which becomes the dependency edges of the assignment's resolver node.
     """
 
     def __init__(self, slot_of: Callable[[PortRef], int]):
@@ -97,74 +108,72 @@ class _GuardCompiler:
         self.read_slots: Set[int] = set()
 
     def _operand(self, ref: PortRef):
-        """(is_const, const_value_or_slot) for one guard operand."""
+        """(is_const, const_value_or_source) for one guard operand."""
         if isinstance(ref, ConstPort):
             return True, ref.value
         slot = self.slot_of(ref)
         self.read_slots.add(slot)
-        return False, slot
+        return False, f"v[{slot}]"
 
-    def compile(self, guard: Guard) -> Optional[Callable[[List[int]], bool]]:
-        """``None`` means "always true" (the common unconditional case)."""
+    def compile(self, guard: Guard) -> Optional[Tuple[int, str]]:
+        """(precedence, source) of ``guard``; ``None`` means "always true"
+        (the common unconditional case)."""
         if isinstance(guard, TrueGuard):
             return None
         if isinstance(guard, PortGuard):
             const, x = self._operand(guard.port)
-            if const:
-                return (lambda v: True) if x else (lambda v: False)
-            return lambda v, i=x: v[i] != 0
+            return _ATOM, str(bool(x)) if const else x
         if isinstance(guard, NotGuard):
             inner = self.compile(guard.inner)
             if inner is None:
-                return lambda v: False
-            return lambda v, f=inner: not f(v)
+                return _ATOM, "False"
+            return _NOT, f"not {_wrap(inner, _NOT)}"
         if isinstance(guard, AndGuard):
             left, right = self.compile(guard.left), self.compile(guard.right)
             if left is None:
                 return right
             if right is None:
                 return left
-            return lambda v, a=left, b=right: a(v) and b(v)
+            return _AND, f"{_wrap(left, _AND)} and {_wrap(right, _AND)}"
         if isinstance(guard, OrGuard):
             left, right = self.compile(guard.left), self.compile(guard.right)
             if left is None or right is None:
                 return None
-            return lambda v, a=left, b=right: a(v) or b(v)
+            return _OR, f"{_wrap(left, _OR)} or {_wrap(right, _OR)}"
         if isinstance(guard, CmpGuard):
-            fn = _CMP_FNS[guard.op]
             lconst, left = self._operand(guard.left)
             rconst, right = self._operand(guard.right)
             if lconst and rconst:
-                result = fn(left, right)
-                return (lambda v: True) if result else (lambda v: False)
-            if lconst:
-                return lambda v, f=fn, c=left, i=right: f(c, v[i])
-            if rconst:
-                return lambda v, f=fn, i=left, c=right: f(v[i], c)
-            return lambda v, f=fn, i=left, j=right: f(v[i], v[j])
+                return _ATOM, str(_CMP_FNS[guard.op](left, right))
+            return _ATOM, f"{left} {guard.op} {right}"
         raise SimulationError(f"cannot compile guard {guard!r}")
 
 
-class _Driver:
+def _wrap(expr: Tuple[int, str], prec: int) -> str:
+    """``expr``'s source, parenthesized if it binds looser than ``prec``."""
+    return expr[1] if expr[0] >= prec else f"({expr[1]})"
+
+
+class _Driver(NamedTuple):
     """One precompiled assignment driving a destination slot."""
 
-    __slots__ = ("gate_slot", "flag", "guard_fn", "src_slot", "src_const", "assign")
+    #: Source of the enabling condition (group ``go`` gate, invoke flag,
+    #: guard); ``None`` when unconditional.
+    cond: Optional[str]
+    #: Source of the driven value.
+    src: str
+    assign: Assignment
 
-    def __init__(
-        self,
-        gate_slot: Optional[int],
-        flag: Optional[int],
-        guard_fn: Optional[Callable[[List[int]], bool]],
-        src_slot: Optional[int],
-        src_const: int,
-        assign: Assignment,
-    ):
-        self.gate_slot = gate_slot
-        self.flag = flag
-        self.guard_fn = guard_fn
-        self.src_slot = src_slot
-        self.src_const = src_const
-        self.assign = assign
+
+def _conflict(inst, index: int, first: int, second: int, a: int, b: int) -> MultipleDriverError:
+    """The error for drivers ``first`` and ``second`` of node ``index`` disagreeing."""
+    drivers = inst._nodes[index].drivers
+    winner, other = drivers[first].assign, drivers[second].assign
+    return MultipleDriverError(
+        f"{inst.path}: port {other.dst.to_string()} driven "
+        f"to both {a} and {b} by\n  "
+        f"{winner.to_string()}\n  {other.to_string()}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -179,67 +188,76 @@ class _ResolverNode:
     guards drop out, agreeing drivers coalesce, disagreeing drivers raise
     :class:`MultipleDriverError`, and an undriven destination falls to 0 —
     exactly the sweep engine's commit rule. Go holes additionally apply the
-    executor's enable/force overrides.
+    executor's enable/force overrides. The evaluation itself is generated
+    source (:meth:`body`); ``fire`` is compiled only for nodes that need to
+    run on their own (members of combinational cycles, diagnosis).
     """
 
-    __slots__ = ("index", "slot", "drivers", "go_group", "done_slot", "in_slots", "path")
+    __slots__ = ("index", "slot", "drivers", "go_group", "done_slot", "in_slots", "fire")
 
-    def __init__(self, index, slot, drivers, go_group, done_slot, in_slots, path):
+    def __init__(self, index, slot, drivers, go_group, done_slot, in_slots):
         self.index = index
         self.slot = slot
         self.drivers: List[_Driver] = drivers
         self.go_group: Optional[str] = go_group
         self.done_slot: Optional[int] = done_slot
         self.in_slots: List[int] = in_slots
-        self.path = path
+        self.fire: Optional[Callable] = None
 
-    def fire(self, inst: "FastComponentInstance") -> Tuple[int, ...]:
-        v = inst._values
-        flags = inst._invoke_flags
-        value = 0
-        winner: Optional[_Driver] = None
-        for d in self.drivers:
-            gate = d.gate_slot
-            if gate is not None and not v[gate]:
-                continue
-            if d.flag is not None and not flags[d.flag]:
-                continue
-            guard = d.guard_fn
-            if guard is not None and not guard(v):
-                continue
-            val = v[d.src_slot] if d.src_slot is not None else d.src_const
-            if winner is None:
-                winner, value = d, val
-            elif val != value:
-                raise MultipleDriverError(
-                    f"{self.path}: port {d.assign.dst.to_string()} driven "
-                    f"to both {value} and {val} by\n  "
-                    f"{winner.assign.to_string()}\n  {d.assign.to_string()}"
-                )
+    def body(self, pad: str) -> List[str]:
+        """Source lines leaving the resolved value in ``x``."""
+        drivers = self.drivers
+        if not drivers:
+            lines = [f"{pad}x = 0"]
+        elif len(drivers) == 1:
+            d = drivers[0]
+            lines = [f"{pad}x = {d.src}" if d.cond is None else f"{pad}x = {d.src} if {d.cond} else 0"]
+        else:
+            first = drivers[0]
+            if first.cond is None:
+                lines = [f"{pad}w = 0; x = {first.src}"]
+            else:
+                lines = [f"{pad}w = -1; x = 0", f"{pad}if {first.cond}: w = 0; x = {first.src}"]
+            for i, d in enumerate(drivers[1:], 1):
+                lines += [
+                    f"{pad}if {d.cond or 'True'}:",
+                    f"{pad} y = {d.src}",
+                    f"{pad} if w < 0: w = {i}; x = y",
+                    f"{pad} elif y != x: raise _conflict(inst, {self.index}, w, {i}, x, y)",
+                ]
         group = self.go_group
         if group is not None:
-            if group in inst._forced:
-                value = 1
-            elif group in inst._active:
-                value = 0 if v[self.done_slot] else 1
-        if v[self.slot] != value:
-            v[self.slot] = value
-            return (self.slot,)
-        return ()
+            lines += [
+                f"{pad}if {group!r} in F: x = 1",
+                f"{pad}elif {group!r} in A: x = 0 if v[{self.done_slot}] else 1",
+            ]
+        return lines
+
+    def compile_fire(self) -> Callable[["FastComponentInstance"], Tuple[int, ...]]:
+        """Compile a standalone ``fire(inst)`` for this node."""
+        slot = self.slot
+        lines = [
+            "def fire(inst):",
+            " v = inst._values; fl = inst._invoke_flags; A = inst._active; F = inst._forced",
+            *self.body(" "),
+            f" if v[{slot}] != x: v[{slot}] = x; return ({slot},)",
+            " return ()",
+        ]
+        return _compile_fn(lines, "fire")
+
+
+def _compile_fn(lines: List[str], name: str) -> Callable:
+    """Compile generated source lines and return the function ``name``."""
+    namespace = {"_conflict": _conflict}
+    exec(compile("\n".join(lines), f"<levelized {name}>", "exec"), namespace)
+    return namespace[name]
 
 
 class _ChildNode:
     """Wraps one cell instance: inputs in, combinational outputs out."""
 
     __slots__ = (
-        "index",
-        "name",
-        "child",
-        "in_ports",
-        "in_slots",
-        "dep_slots",
-        "out_slot_map",
-        "stateful",
+        "index", "name", "child", "in_ports", "in_slots", "dep_slots", "out_slot_map", "stateful"
     )
 
     def __init__(self, index, name, child, in_ports, in_slots, dep_slots, out_slot_map, stateful):
@@ -252,11 +270,13 @@ class _ChildNode:
         self.out_slot_map: Dict[str, int] = out_slot_map
         self.stateful = stateful
 
+    def inputs(self, v: List[int]) -> Dict[str, int]:
+        return {p: v[s] for p, s in zip(self.in_ports, self.in_slots)}
+
     def fire(self, inst: "FastComponentInstance") -> List[int]:
         v = inst._values
-        ins = {p: v[s] for p, s in zip(self.in_ports, self.in_slots)}
         changed: List[int] = []
-        for port, val in self.child.comb(ins).items():
+        for port, val in self.child.comb(self.inputs(v)).items():
             slot = self.out_slot_map.get(port)
             if slot is not None and v[slot] != val:
                 v[slot] = val
@@ -355,19 +375,23 @@ class FastComponentInstance:
     #: (mirrors the sweep engine's constant).
     OSCILLATION_PROBE_ITERS = 64
 
-    def __init__(self, program: Program, comp: Component, path: str = "main"):
+    def __init__(
+        self,
+        program: Program,
+        comp: Component,
+        path: str = "main",
+        code: Optional[Dict[int, Tuple[list, dict]]] = None,
+    ):
+        """``code`` holds the compiled drain and fire functions per component
+        (keyed by ``id``), shared by every instance in one engine build."""
         self.program = program
         self.comp = comp
         self.path = path
         self.children: Dict[str, object] = {}
-        self._child_inputs: Dict[str, List[str]] = {}
         self.input_ports = [p.name for p in comp.inputs]
+        self._code = {} if code is None else code
         for cell in comp.cells.values():
             self.children[cell.name] = self._make_child(cell)
-            sig = program.cell_signature(cell)
-            self._child_inputs[cell.name] = [
-                p.name for p in sig.values() if p.direction is Direction.INPUT
-            ]
         self._done_from_wires = any(
             isinstance(a.dst, ThisPort) and a.dst.port == DONE
             for _, a in comp.all_assignments()
@@ -388,7 +412,7 @@ class FastComponentInstance:
             target = self.program.get_component(name)
             if target.cells or target.groups or target.continuous or not target.control.is_empty():
                 return FastComponentInstance(
-                    self.program, target, f"{self.path}.{cell.name}"
+                    self.program, target, f"{self.path}.{cell.name}", self._code
                 )
             is_extern = any(
                 any(c.name == name for c in e.components) for e in self.program.externs
@@ -399,7 +423,7 @@ class FastComponentInstance:
                     [p.name for p in target.inputs],
                 )
             return FastComponentInstance(
-                self.program, target, f"{self.path}.{cell.name}"
+                self.program, target, f"{self.path}.{cell.name}", self._code
             )
         sig = self.program.cell_signature(cell)
         inputs = [p.name for p in sig.values() if p.direction is Direction.INPUT]
@@ -414,24 +438,27 @@ class FastComponentInstance:
         return slot
 
     def _compile_driver(
-        self,
-        gate: Optional[str],
-        flag: Optional[int],
-        assign: Assignment,
+        self, gate: Optional[str], flag: Optional[int], assign: Assignment
     ) -> Tuple[_Driver, Set[int]]:
         compiler = _GuardCompiler(self._slot)
-        guard_fn = compiler.compile(assign.guard)
+        guard = compiler.compile(assign.guard)
         reads = set(compiler.read_slots)
         if isinstance(assign.src, ConstPort):
-            src_slot, src_const = None, assign.src.value
+            src = str(assign.src.value)
         else:
-            src_slot, src_const = self._slot(assign.src), 0
+            src_slot = self._slot(assign.src)
+            src = f"v[{src_slot}]"
             reads.add(src_slot)
-        gate_slot = None
+        conds = []
         if gate is not None:
             gate_slot = self._slot(HolePort(gate, GO))
             reads.add(gate_slot)
-        return _Driver(gate_slot, flag, guard_fn, src_slot, src_const, assign), reads
+            conds.append(f"v[{gate_slot}]")
+        if flag is not None:
+            conds.append(f"fl[{flag}]")
+        if guard is not None:
+            conds.append(_wrap(guard, _AND) if conds else guard[1])
+        return _Driver(" and ".join(conds) or None, src, assign), reads
 
     def _build(self) -> None:
         comp = self.comp
@@ -503,14 +530,13 @@ class FastComponentInstance:
 
         # -- nodes, in the sweep engine's evaluation order -----------------
         self._nodes: List[object] = []
-        self._stateful_nodes: List[int] = []
+        stateful_nodes: List[int] = []
         self._go_resolver_of: Dict[str, int] = {}
-        self._flag_nodes: List[Set[int]] = [set() for _ in self._flag_dsts]
 
         for cell in comp.cells.values():
             child = self.children[cell.name]
             sig = self.program.cell_signature(cell)
-            in_ports = self._child_inputs[cell.name]
+            in_ports = [p.name for p in sig.values() if p.direction is Direction.INPUT]
             in_slots = [self._slot(CellPort(cell.name, p)) for p in in_ports]
             out_slot_map = {
                 p.name: self._slot(CellPort(cell.name, p.name))
@@ -538,8 +564,9 @@ class FastComponentInstance:
             )
             self._nodes.append(node)
             if stateful:
-                self._stateful_nodes.append(index)
+                stateful_nodes.append(index)
 
+        resolver_of: Dict[PortRef, int] = {}
         for dst in all_dsts:
             slot = self._slot(dst)
             drivers = driver_map[dst]
@@ -551,53 +578,64 @@ class FastComponentInstance:
                 if done_slot not in in_slots:
                     in_slots.append(done_slot)
             index = len(self._nodes)
-            node = _ResolverNode(
-                index, slot, drivers, go_group, done_slot, in_slots, self.path
-            )
+            node = _ResolverNode(index, slot, drivers, go_group, done_slot, in_slots)
             self._nodes.append(node)
-            for driver in drivers:
-                if driver.flag is not None:
-                    self._flag_nodes[driver.flag].add(index)
+            resolver_of[dst] = index
             if go_group is not None:
                 self._go_resolver_of[go_group] = index
 
+        self._flag_nodes = [{resolver_of[dst] for dst in dsts} for dsts in self._flag_dsts]
         self._done_node: Optional[int] = None
         if not self._done_from_wires and self._this_done_slot is not None:
             index = len(self._nodes)
             self._nodes.append(_DoneNode(index, self._this_done_slot))
             self._done_node = index
 
+        #: Children whose clock edge does something (the rest tick as no-ops).
+        self._tick_nodes: List[_ChildNode] = [self._nodes[i] for i in stateful_nodes]
         self._values: List[int] = [0] * len(self._slot_refs)
+        self._port_slot = {r.port: s for r, s in self._slots.items() if isinstance(r, ThisPort)}
+        self._out_slots = [(p.name, self._port_slot[p.name]) for p in comp.outputs]
         self._done_slots = [
-            i
-            for i, ref in enumerate(self._slot_refs)
-            if getattr(ref, "port", None) == DONE
+            i for i, ref in enumerate(self._slot_refs) if getattr(ref, "port", None) == DONE
         ]
 
-        # -- fanout, writers, SCCs, levels ---------------------------------
+        # -- fanout, writers, SCCs, levels, generated code -----------------
         n_slots = len(self._slot_refs)
-        self._fanout: List[List[int]] = [[] for _ in range(n_slots)]
+        fanout: List[List[int]] = [[] for _ in range(n_slots)]
         self._writer: Dict[int, int] = {}
         for node in self._nodes:
             for slot in self._node_out_slots(node):
                 self._writer[slot] = node.index
         for node in self._nodes:
             for slot in node.in_slots if not isinstance(node, _ChildNode) else node.dep_slots:
-                self._fanout[slot].append(node.index)
-        self._levelize()
+                fanout[slot].append(node.index)
+        levels = self._levelize(fanout)
+        scc_of = self._scc_of
+        #: Per slot, the SCCs reading it (what a change to it dirties).
+        self._fanout: List[Tuple[int, ...]] = [
+            tuple(sorted({scc_of[i] for i in readers})) for readers in fanout
+        ]
+        self._stateful_sccs = sorted({scc_of[i] for i in stateful_nodes})
+        code = self._code.get(id(comp))
+        if code is None:
+            code = self._code[id(comp)] = self._compile_code(levels)
+        self._drain_fns, fires = code
+        for i, fire in fires.items():
+            self._nodes[i].fire = fire
 
     def _node_out_slots(self, node) -> List[int]:
         if isinstance(node, _ChildNode):
             return list(node.out_slot_map.values())
         return [node.slot]
 
-    def _levelize(self) -> None:
-        """Tarjan SCC condensation + longest-path levels over the DAG."""
+    def _levelize(self, fanout: List[List[int]]) -> List[int]:
+        """Tarjan SCC condensation + longest-path levels (per SCC) over the DAG."""
         n = len(self._nodes)
         adj: List[List[int]] = [[] for _ in range(n)]
         for node in self._nodes:
             for slot in self._node_out_slots(node):
-                adj[node.index].extend(self._fanout[slot])
+                adj[node.index].extend(fanout[slot])
 
         scc_of, sccs = tarjan_scc(adj)
         self._scc_of = scc_of
@@ -611,7 +649,47 @@ class FastComponentInstance:
                     succ_scc = scc_of[succ]
                     if succ_scc != scc_id and levels[succ_scc] <= levels[scc_id]:
                         levels[succ_scc] = levels[scc_id] + 1
-        self._scc_level = levels
+        return levels
+
+    def _compile_code(self, levels: List[int]) -> Tuple[List[Callable], Dict[int, Callable]]:
+        """Compile the drain chunks and the fires of cyclic SCC members.
+
+        One drain block per SCC, in ``(level, scc id)`` order, clears a set
+        dirty flag and evaluates the SCC: acyclic resolvers inline, the rest
+        through the instance. Every mark lands on a higher level, so one
+        pass in this order drains everything.
+        """
+        header = "def drain(inst, v, d, fl, A, F):"
+        chunks: List[Callable] = []
+        fires: Dict[int, Callable] = {}
+        lines: List[str] = [header]
+        size = 0
+        for scc in sorted(range(len(levels)), key=lambda k: (levels[k], k)):
+            node = self._nodes[self._scc_nodes[scc][0]]
+            if self._scc_cyclic[scc]:
+                for i in self._scc_nodes[scc]:
+                    if isinstance(self._nodes[i], _ResolverNode):
+                        fires[i] = self._nodes[i].compile_fire()
+                block = [f" if d[{scc}]: d[{scc}] = 0; inst._run_cyclic_scc({scc})"]
+            elif not isinstance(node, _ResolverNode):
+                block = [f" if d[{scc}]: d[{scc}] = 0; inst._fire({node.index})"]
+            else:
+                slot = node.slot
+                marks = "".join(f"d[{k}] = " for k in self._fanout[slot])
+                block = [
+                    f" if d[{scc}]:",
+                    f"  d[{scc}] = 0",
+                    *node.body("  "),
+                    f"  if v[{slot}] != x: v[{slot}] = x" + (f"; {marks}1" if marks else ""),
+                ]
+            lines += block
+            size += sum(map(len, block))
+            if size >= _CHUNK_SOURCE:
+                chunks.append(_compile_fn(lines, "drain"))
+                lines, size = [header], 0
+        if size:
+            chunks.append(_compile_fn(lines, "drain"))
+        return chunks, fires
 
     def comb_input_deps(self) -> List[str]:
         """Input ports with a combinational path to some output.
@@ -644,18 +722,19 @@ class FastComponentInstance:
     def _slot_reaches(self, start: int, targets: Set[int]) -> bool:
         if start in targets:
             return True
-        seen_nodes: Set[int] = set()
+        seen: Set[int] = set()
         frontier = [start]
         while frontier:
             slot = frontier.pop()
-            for node_idx in self._fanout[slot]:
-                if node_idx in seen_nodes:
+            for scc in self._fanout[slot]:
+                if scc in seen:
                     continue
-                seen_nodes.add(node_idx)
-                for out in self._node_out_slots(self._nodes[node_idx]):
-                    if out in targets:
-                        return True
-                    frontier.append(out)
+                seen.add(scc)
+                for node_idx in self._scc_nodes[scc]:
+                    for out in self._node_out_slots(self._nodes[node_idx]):
+                        if out in targets:
+                            return True
+                        frontier.append(out)
         return False
 
     # -- dirty-set bookkeeping --------------------------------------------
@@ -666,25 +745,18 @@ class FastComponentInstance:
         self._active: Set[str] = set()
         self._forced: Set[str] = set()
         self._finished = False
-        self._dirty_set: Set[int] = set()
-        self._dirty_heap: List[Tuple[int, int]] = []
-        self._mark_all()
-
-    def _mark_scc(self, scc: int) -> None:
-        if scc not in self._dirty_set:
-            self._dirty_set.add(scc)
-            heappush(self._dirty_heap, (self._scc_level[scc], scc))
+        self._dirty: List[int] = [1] * len(self._scc_nodes)
 
     def _mark_node(self, node_idx: int) -> None:
-        self._mark_scc(self._scc_of[node_idx])
+        self._dirty[self._scc_of[node_idx]] = 1
 
     def _mark_slot(self, slot: int) -> None:
-        for node_idx in self._fanout[slot]:
-            self._mark_scc(self._scc_of[node_idx])
+        dirty = self._dirty
+        for scc in self._fanout[slot]:
+            dirty[scc] = 1
 
     def _mark_all(self) -> None:
-        for scc in range(len(self._scc_nodes)):
-            self._mark_scc(scc)
+        self._dirty[:] = [1] * len(self._dirty)
 
     # -- net access --------------------------------------------------------
     def read(self, ref: PortRef) -> int:
@@ -699,7 +771,8 @@ class FastComponentInstance:
     def comb(self, inputs: Dict[str, int]) -> Dict[str, int]:
         self._apply_inputs(inputs)
         self.settle()
-        return {p.name: self.read(ThisPort(p.name)) for p in self.comp.outputs}
+        values = self._values
+        return {name: values[slot] for name, slot in self._out_slots}
 
     def tick(self, inputs: Dict[str, int]) -> None:
         self._apply_inputs(inputs)
@@ -708,8 +781,9 @@ class FastComponentInstance:
 
     def _apply_inputs(self, inputs: Dict[str, int]) -> None:
         values = self._values
+        slot_of = self._port_slot
         for name, value in inputs.items():
-            slot = self._slots.get(ThisPort(name))
+            slot = slot_of.get(name)
             if slot is None:
                 self._extra_nets[ThisPort(name)] = value
             elif values[slot] != value:
@@ -728,9 +802,12 @@ class FastComponentInstance:
         return self._values[self._go_slot] != 0
 
     def settle(self) -> None:
-        """Drain the dirty set in level order (one clock phase)."""
+        """Run the generated drain over the dirty SCCs (one clock phase)."""
         self._begin_phase()
-        self._drain()
+        v, d, fl = self._values, self._dirty, self._invoke_flags
+        active, forced = self._active, self._forced
+        for drain in self._drain_fns:
+            drain(self, v, d, fl, active, forced)
 
     def _begin_phase(self) -> None:
         """Diff the executor-derived configuration, dirtying what moved."""
@@ -763,26 +840,15 @@ class FastComponentInstance:
         if self._done_node is not None:
             self._mark_node(self._done_node)
 
-    def _drain(self) -> None:
-        heap = self._dirty_heap
-        dirty = self._dirty_set
-        nodes = self._scc_nodes
-        while heap:
-            _, scc = heappop(heap)
-            if scc not in dirty:
-                continue
-            dirty.discard(scc)
-            if self._scc_cyclic[scc]:
-                self._run_cyclic_scc(scc)
-            else:
-                node = self._nodes[nodes[scc][0]]
-                for slot in node.fire(self):
-                    self._mark_slot(slot)
+    def _fire(self, node_idx: int) -> None:
+        """Fire a child or ``this.done`` node, dirtying what changed."""
+        for slot in self._nodes[node_idx].fire(self):
+            self._mark_slot(slot)
 
     def _run_cyclic_scc(self, scc: int) -> None:
         """Bounded fixpoint iteration inside one combinational cycle."""
         members = [self._nodes[i] for i in self._scc_nodes[scc]]
-        scc_of = self._scc_of
+        dirty = self._dirty
         limit = 8 * (len(members) + 8)
         for _ in range(limit):
             any_change = False
@@ -790,8 +856,8 @@ class FastComponentInstance:
                 for slot in node.fire(self):
                     any_change = True
                     for reader in self._fanout[slot]:
-                        if scc_of[reader] != scc:
-                            self._mark_scc(scc_of[reader])
+                        if reader != scc:
+                            dirty[reader] = 1
             if not any_change:
                 return
         self._diagnose_nonconvergence(limit)
@@ -805,6 +871,7 @@ class FastComponentInstance:
         toggling nets and period on a repeated fingerprint, else
         :class:`CombinationalLoopError`.
         """
+        fires = [node.fire or node.compile_fire() for node in self._nodes]
         seen: Dict[Tuple[int, ...], int] = {}
         history: List[List[int]] = []
         for i in range(self.OSCILLATION_PROBE_ITERS):
@@ -832,14 +899,13 @@ class FastComponentInstance:
             seen[fingerprint] = i
             history.append(list(self._values))
             any_change = False
-            for node in self._nodes:
-                if node.fire(self):
+            for fire in fires:
+                if fire(self):
                     any_change = True
             if not any_change:
                 # Converged late: the probe visited every node, so the
                 # dirty bookkeeping is satisfied wholesale.
-                self._dirty_set.clear()
-                self._dirty_heap.clear()
+                self._dirty[:] = [0] * len(self._dirty)
                 return
         raise CombinationalLoopError(
             f"{self.path}: combinational logic did not converge after "
@@ -850,14 +916,7 @@ class FastComponentInstance:
     def step_edge(self) -> None:
         """The clock edge: latch children, advance control state."""
         values = self._values
-        slots = self._slots
-        pending: List[Tuple[object, Dict[str, int]]] = []
-        for name, child in self.children.items():
-            ins = {}
-            for port in self._child_inputs[name]:
-                slot = slots.get(CellPort(name, port))
-                ins[port] = values[slot] if slot is not None else 0
-            pending.append((child, ins))
+        pending = [(node.child, node.inputs(values)) for node in self._tick_nodes]
         if self._running():
             self.executor.step()
             self._go_was_high = True
@@ -866,8 +925,9 @@ class FastComponentInstance:
             self._go_was_high = False
         for child, ins in pending:
             child.tick(ins)
-        for node_idx in self._stateful_nodes:
-            self._mark_node(node_idx)
+        dirty = self._dirty
+        for scc in self._stateful_sccs:
+            dirty[scc] = 1
 
     # -- watchdog support ----------------------------------------------------
     def state_dump(self, max_nets: int = 48) -> str:

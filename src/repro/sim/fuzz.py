@@ -339,8 +339,12 @@ def canonical_done_nets(inst) -> Dict[str, int]:
     return values
 
 
-def _observe(source: str, engine: str, max_cycles: int = 100_000):
+def _observe(source: str, engine: str, pipeline: Optional[str], max_cycles: int = 100_000):
     program = parse_program(source)
+    if pipeline is not None:
+        from repro.passes import compile_program  # lazy: repro.passes imports repro.sim
+
+        program = compile_program(program, pipeline)
     bench = Testbench(program, engine=engine)
     result = bench.run(max_cycles=max_cycles)
     regs = {}
@@ -355,16 +359,18 @@ def _observe(source: str, engine: str, max_cycles: int = 100_000):
     }
 
 
-def check_source(source: str) -> Optional[str]:
+def check_source(source: str, pipeline: Optional[str] = None) -> Optional[str]:
     """Run one program under both engines; a divergence description or None.
 
-    An exception from either engine is part of the observable behavior:
-    both engines must raise the same error class (or neither).
+    With ``pipeline``, the program is compiled with that pass pipeline
+    first, so the engines compare on the lowered netlist. An exception from
+    either engine is part of the observable behavior: both engines must
+    raise the same error class (or neither).
     """
     outcomes = {}
     for engine in ("sweep", "levelized"):
         try:
-            outcomes[engine] = ("ok", _observe(source, engine))
+            outcomes[engine] = ("ok", _observe(source, engine, pipeline))
         except Exception as exc:  # compared, not propagated
             outcomes[engine] = ("error", type(exc).__name__)
     sweep, levelized = outcomes["sweep"], outcomes["levelized"]
@@ -385,8 +391,8 @@ def check_source(source: str) -> Optional[str]:
     return None
 
 
-def check_spec(spec: ProgramSpec) -> Optional[str]:
-    return check_source(spec.render())
+def check_spec(spec: ProgramSpec, pipeline: Optional[str] = None) -> Optional[str]:
+    return check_source(spec.render(), pipeline)
 
 
 # ---------------------------------------------------------------------------
@@ -592,19 +598,22 @@ def lint_oracle(seed: int, mutation: Optional[str] = None) -> Optional[str]:
     )
 
 
-def cross_check(seed: int) -> Optional[str]:
+def cross_check(seed: int, pipeline: Optional[str] = None) -> Optional[str]:
     """Generate, check, and (on divergence) shrink one seeded program.
 
-    Returns ``None`` on agreement; otherwise a report containing the
-    minimal reproducing source and the divergence description.
+    ``pipeline`` compiles each program (and each shrink candidate) with
+    that pass pipeline before the engines run it. Returns ``None`` on
+    agreement; otherwise a report containing the minimal reproducing
+    source and the divergence description.
     """
     spec = generate_spec(seed)
-    divergence = check_spec(spec)
+    divergence = check_spec(spec, pipeline)
     if divergence is None:
         return None
-    minimal = shrink_spec(spec)
-    final = check_spec(minimal) or divergence
+    minimal = shrink_spec(spec, fails=lambda s: check_spec(s, pipeline) is not None)
+    final = check_spec(minimal, pipeline) or divergence
+    lowered = f" (compiled with {pipeline!r})" if pipeline else ""
     return (
-        f"engines diverged for seed {seed}: {final}\n"
+        f"engines diverged for seed {seed}{lowered}: {final}\n"
         f"minimal repro:\n{minimal.render()}"
     )

@@ -37,7 +37,7 @@ ENGINES: Dict[str, Callable] = {
     "levelized": FastComponentInstance,
 }
 
-DEFAULT_ENGINE = "sweep"
+DEFAULT_ENGINE = "levelized"
 
 
 def resolve_engine(name: str) -> Callable:

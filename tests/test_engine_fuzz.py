@@ -2,10 +2,11 @@
 
 Runs a batch of seeded random programs (registers, adders, comparators,
 ``seq``/``par``/``if``/``while``) through both engines and requires
-identical observable behavior; a divergence is shrunk to a minimal repro
-before failing, so the assertion message is actionable. The batch size is
-``REPRO_FUZZ_COUNT`` (default 200, the CI contract) starting at
-``REPRO_FUZZ_SEED``.
+identical observable behavior, once as generated and once compiled with
+the ``all`` pipeline (deep FSM guards); a divergence is shrunk to a
+minimal repro before failing, so the assertion message is actionable.
+Each batch's size is ``REPRO_FUZZ_COUNT`` (default 200, the CI contract)
+starting at ``REPRO_FUZZ_SEED``.
 """
 
 import os
@@ -46,15 +47,25 @@ def test_generated_programs_terminate_and_agree():
         assert divergence is None, f"seed {seed}: {divergence}"
 
 
+def _first_divergence(pipeline=None):
+    for seed in range(FUZZ_SEED, FUZZ_SEED + FUZZ_COUNT):
+        report = cross_check(seed, pipeline)
+        if report is not None:
+            return report  # one shrunk repro is enough to act on
+    return None
+
+
 def test_fuzz_cross_check_batch():
     """The CI contract: ~200 seeded programs, both engines, bit-identical."""
-    reports = []
-    for seed in range(FUZZ_SEED, FUZZ_SEED + FUZZ_COUNT):
-        report = cross_check(seed)
-        if report is not None:
-            reports.append(report)
-            break  # one shrunk repro is enough to act on
-    assert not reports, "\n\n".join(reports)
+    report = _first_divergence()
+    assert report is None, report
+
+
+def test_fuzz_cross_check_lowered_batch():
+    """The same seeds compiled with ``all``: the engines must agree on the
+    lowered FSM netlists too."""
+    report = _first_divergence("all")
+    assert report is None, report
 
 
 def test_shrinker_minimizes_to_culprit_subtree():

@@ -61,7 +61,8 @@ component main(go: 1) -> (done: 1) {
 
 
 class TestMultipleDriver:
-    def test_dynamic_double_drive(self):
+    @pytest.mark.parametrize("engine", ["sweep", "levelized"])
+    def test_dynamic_double_drive(self, engine):
         """Two guarded drivers firing together with different values."""
         src = """
 component main(go: 1) -> (done: 1) {
@@ -83,9 +84,15 @@ component main(go: 1) -> (done: 1) {
 """
         # Statically legal (one driver is conditional), dynamically not:
         # once flag is set, both guards are true with different values.
+        # Both engines name the port, both values and both assignments,
+        # in the same words.
         with pytest.raises(MultipleDriverError) as exc_info:
-            run_program(parse_program(src))
-        assert "r.in" in str(exc_info.value)
+            run_program(parse_program(src), engine=engine)
+        assert str(exc_info.value) == (
+            "main: port r.in driven to both 1 and 2 by\n"
+            "  r.in = flag.out ? 32'd1;\n"
+            "  r.in = 32'd2;"
+        )
 
 
 class TestPassErrors:
