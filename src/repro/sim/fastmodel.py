@@ -16,6 +16,12 @@ netlist, so that work can be scheduled once, at construction:
   expression over the slot list. It is compiled in chunks of a few KB
   (a whole-component module costs a large transient AST), once per
   component per engine build, and shared by that component's instances,
+* standard-library primitives are inlined from their models' source form
+  (:meth:`~repro.stdlib.behaviors.PrimitiveModel.render`): operators as
+  expressions, registers and memories as generated ``edge`` code that
+  updates a model, and marks its SCC, only when it is written or its
+  ``done`` falls. Sub-components, externs and pipelined units keep calling
+  ``comb``/``tick``,
 * evaluation is event-driven: per-SCC dirty flags (set by input changes,
   clock edges, and control-state transitions) gate each block of the
   drain. Acyclic regions evaluate at most once per phase; genuine
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import MutableMapping
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import (
     CombinationalLoopError,
@@ -68,7 +74,7 @@ from repro.ir.ports import DONE, GO
 from repro.ir.types import Direction
 from repro.sim.model import ControlExecutor, PrimitiveInstance, eval_guard
 from repro.sim.structural import check_structural_drivers, static_drivers
-from repro.stdlib.behaviors import PrimitiveModel, make_model
+from repro.stdlib.behaviors import PrimitiveModel, Rendered, make_model
 
 _CMP_FNS: Dict[str, Callable[[int, int], bool]] = {
     "==": operator.eq,
@@ -253,14 +259,27 @@ def _compile_fn(lines: List[str], name: str) -> Callable:
     return namespace[name]
 
 
+def _compile_chunks(header: str, name: str, blocks: Iterable[List[str]]) -> List[Callable]:
+    """Compile ``blocks`` in order as ``header`` functions of ~``_CHUNK_SOURCE`` chars."""
+    chunks: List[Callable] = []
+    lines, size = [header], 0
+    for block in blocks:
+        lines += block
+        size += sum(map(len, block))
+        if size >= _CHUNK_SOURCE:
+            chunks.append(_compile_fn(lines, name))
+            lines, size = [header], 0
+    if size:
+        chunks.append(_compile_fn(lines, name))
+    return chunks
+
+
 class _ChildNode:
     """Wraps one cell instance: inputs in, combinational outputs out."""
 
-    __slots__ = (
-        "index", "name", "child", "in_ports", "in_slots", "dep_slots", "out_slot_map", "stateful"
-    )
+    __slots__ = ("index", "name", "child", "in_ports", "in_slots", "dep_slots", "out_slot_map")
 
-    def __init__(self, index, name, child, in_ports, in_slots, dep_slots, out_slot_map, stateful):
+    def __init__(self, index, name, child, in_ports, in_slots, dep_slots, out_slot_map):
         self.index = index
         self.name = name
         self.child = child
@@ -268,7 +287,6 @@ class _ChildNode:
         self.in_slots: List[int] = in_slots
         self.dep_slots: List[int] = dep_slots
         self.out_slot_map: Dict[str, int] = out_slot_map
-        self.stateful = stateful
 
     def inputs(self, v: List[int]) -> Dict[str, int]:
         return {p: v[s] for p, s in zip(self.in_ports, self.in_slots)}
@@ -392,6 +410,7 @@ class FastComponentInstance:
         self._code = {} if code is None else code
         for cell in comp.cells.values():
             self.children[cell.name] = self._make_child(cell)
+        self._subinstances = [c for c in self.children.values() if isinstance(c, FastComponentInstance)]
         self._done_from_wires = any(
             isinstance(a.dst, ThisPort) and a.dst.port == DONE
             for _, a in comp.all_assignments()
@@ -559,9 +578,7 @@ class FastComponentInstance:
                 self._slot(CellPort(cell.name, p)) for p in dep_names if p in in_ports
             ]
             index = len(self._nodes)
-            node = _ChildNode(
-                index, cell.name, child, in_ports, in_slots, dep_slots, out_slot_map, stateful
-            )
+            node = _ChildNode(index, cell.name, child, in_ports, in_slots, dep_slots, out_slot_map)
             self._nodes.append(node)
             if stateful:
                 stateful_nodes.append(index)
@@ -591,8 +608,8 @@ class FastComponentInstance:
             self._nodes.append(_DoneNode(index, self._this_done_slot))
             self._done_node = index
 
-        #: Children whose clock edge does something (the rest tick as no-ops).
-        self._tick_nodes: List[_ChildNode] = [self._nodes[i] for i in stateful_nodes]
+        #: Per child node, the primitive model its inlined code reads.
+        self._models = [getattr(child, "model", None) for child in self.children.values()]
         self._values: List[int] = [0] * len(self._slot_refs)
         self._port_slot = {r.port: s for r, s in self._slots.items() if isinstance(r, ThisPort)}
         self._out_slots = [(p.name, self._port_slot[p.name]) for p in comp.outputs]
@@ -616,13 +633,16 @@ class FastComponentInstance:
         self._fanout: List[Tuple[int, ...]] = [
             tuple(sorted({scc_of[i] for i in readers})) for readers in fanout
         ]
-        self._stateful_sccs = sorted({scc_of[i] for i in stateful_nodes})
         code = self._code.get(id(comp))
         if code is None:
             code = self._code[id(comp)] = self._compile_code(levels)
-        self._drain_fns, fires = code
+        self._drain_fns, self._edge_fns, fires, inlined = code
         for i, fire in fires.items():
             self._nodes[i].fire = fire
+        #: Children ticked generically (not by the edge code, not no-ops).
+        generic = [i for i in stateful_nodes if i not in inlined]
+        self._tick_nodes: List[_ChildNode] = [self._nodes[i] for i in generic]
+        self._stateful_sccs = sorted({scc_of[i] for i in generic})
 
     def _node_out_slots(self, node) -> List[int]:
         if isinstance(node, _ChildNode):
@@ -651,45 +671,66 @@ class FastComponentInstance:
                         levels[succ_scc] = levels[scc_id] + 1
         return levels
 
-    def _compile_code(self, levels: List[int]) -> Tuple[List[Callable], Dict[int, Callable]]:
-        """Compile the drain chunks and the fires of cyclic SCC members.
+    def _compile_code(self, levels: List[int]) -> Tuple[List[Callable], List[Callable], Dict[int, Callable], Set[int]]:
+        """Compile the drain and edge chunks and the fires of cyclic SCC members.
 
-        One drain block per SCC, in ``(level, scc id)`` order, clears a set
-        dirty flag and evaluates the SCC: acyclic resolvers inline, the rest
-        through the instance. Every mark lands on a higher level, so one
-        pass in this order drains everything.
+        The rendered primitives' clock-edge lines, those in cyclic SCCs too,
+        make the edge code; they mark their SCC only when the model changes.
+        Also returns the indices of the child nodes the edge code ticks.
         """
-        header = "def drain(inst, v, d, fl, A, F):"
-        chunks: List[Callable] = []
+        edges: List[Tuple[int, List[str]]] = []
         fires: Dict[int, Callable] = {}
-        lines: List[str] = [header]
-        size = 0
+        drain_blocks = self._drain_blocks(levels, edges, fires)
+        drains = _compile_chunks("def drain(inst, v, d, fl, A, F, M):", "drain", drain_blocks)
+        edge_blocks = [[f" {line}" for line in lines] for _, lines in sorted(edges)]
+        edge_fns = _compile_chunks("def edge(v, d, M):", "edge", edge_blocks)
+        return drains, edge_fns, fires, {index for index, _ in edges}
+
+    def _drain_blocks(self, levels, edges, fires) -> Iterator[List[str]]:
+        """Yield the drain's blocks, collecting ``edges`` and ``fires``.
+
+        One block per SCC, in ``(level, scc id)`` order, clears a set dirty
+        flag and evaluates the SCC: acyclic resolvers and primitives with a
+        :meth:`~PrimitiveModel.render` form inline, the rest through the
+        instance. Every mark lands on a higher level, so one pass in this
+        order drains everything. Yielded one at a time, so only one chunk's
+        source is held at once.
+        """
         for scc in sorted(range(len(levels)), key=lambda k: (levels[k], k)):
             node = self._nodes[self._scc_nodes[scc][0]]
             if self._scc_cyclic[scc]:
                 for i in self._scc_nodes[scc]:
                     if isinstance(self._nodes[i], _ResolverNode):
                         fires[i] = self._nodes[i].compile_fire()
+                    elif (rendered := self._render(self._nodes[i], scc)) is not None and rendered[1]:
+                        edges.append((i, rendered[1]))  # comb stays generic
                 block = [f" if d[{scc}]: d[{scc}] = 0; inst._run_cyclic_scc({scc})"]
+            elif (rendered := self._render(node, scc)) is not None:
+                outputs, edge = rendered
+                block = [f" if d[{scc}]:", f"  d[{scc}] = 0"]
+                for port, expr in outputs.items():
+                    slot = node.out_slot_map.get(port)
+                    if slot is not None:
+                        block += [f"  x = {expr}", self._commit(slot, "  ")]
+                if edge:
+                    edges.append((node.index, edge))
             elif not isinstance(node, _ResolverNode):
                 block = [f" if d[{scc}]: d[{scc}] = 0; inst._fire({node.index})"]
             else:
-                slot = node.slot
-                marks = "".join(f"d[{k}] = " for k in self._fanout[slot])
-                block = [
-                    f" if d[{scc}]:",
-                    f"  d[{scc}] = 0",
-                    *node.body("  "),
-                    f"  if v[{slot}] != x: v[{slot}] = x" + (f"; {marks}1" if marks else ""),
-                ]
-            lines += block
-            size += sum(map(len, block))
-            if size >= _CHUNK_SOURCE:
-                chunks.append(_compile_fn(lines, "drain"))
-                lines, size = [header], 0
-        if size:
-            chunks.append(_compile_fn(lines, "drain"))
-        return chunks, fires
+                block = [f" if d[{scc}]:", f"  d[{scc}] = 0", *node.body("  "), self._commit(node.slot, "  ")]
+            yield block
+
+    def _render(self, node, scc: int) -> Optional[Rendered]:
+        """The inline form of a primitive child node, or ``None``."""
+        if not isinstance(node, _ChildNode) or not isinstance(node.child, PrimitiveInstance):
+            return None
+        ins = {p: f"v[{s}]" for p, s in zip(node.in_ports, node.in_slots)}
+        return node.child.model.render(ins, f"M[{node.index}]", f"d[{scc}] = 1")
+
+    def _commit(self, slot: int, pad: str) -> str:
+        """Source storing ``x`` into ``slot`` and marking its readers if it changed."""
+        marks = "".join(f"d[{k}] = " for k in self._fanout[slot])
+        return f"{pad}if v[{slot}] != x: v[{slot}] = x" + (f"; {marks}1" if marks else "")
 
     def comb_input_deps(self) -> List[str]:
         """Input ports with a combinational path to some output.
@@ -804,10 +845,10 @@ class FastComponentInstance:
     def settle(self) -> None:
         """Run the generated drain over the dirty SCCs (one clock phase)."""
         self._begin_phase()
-        v, d, fl = self._values, self._dirty, self._invoke_flags
+        v, d, fl, models = self._values, self._dirty, self._invoke_flags, self._models
         active, forced = self._active, self._forced
         for drain in self._drain_fns:
-            drain(self, v, d, fl, active, forced)
+            drain(self, v, d, fl, active, forced, models)
 
     def _begin_phase(self) -> None:
         """Diff the executor-derived configuration, dirtying what moved."""
@@ -926,6 +967,8 @@ class FastComponentInstance:
         for child, ins in pending:
             child.tick(ins)
         dirty = self._dirty
+        for edge in self._edge_fns:
+            edge(values, dirty, self._models)
         for scc in self._stateful_sccs:
             dirty[scc] = 1
 
@@ -946,17 +989,15 @@ class FastComponentInstance:
             lines.append(f"  {name} = {val}")
         if len(nets) > max_nets:
             lines.append(f"  ... ({len(nets) - max_nets} more nets)")
-        for child in self.children.values():
-            if isinstance(child, FastComponentInstance):
-                lines.append(child.state_dump(max_nets=max_nets // 2))
+        for child in self._subinstances:
+            lines.append(child.state_dump(max_nets=max_nets // 2))
         return "\n".join(lines)
 
     def done_signature(self) -> Tuple:
         """Values of every ``done``-like net, recursively (watchdog food)."""
         values: List[object] = [self._values[slot] for slot in self._done_slots]
-        for child in self.children.values():
-            if isinstance(child, FastComponentInstance):
-                values.append(child.done_signature())
+        for child in self._subinstances:
+            values.append(child.done_signature())
         return tuple(values)
 
     def stuck_groups(self) -> List[str]:
@@ -967,9 +1008,8 @@ class FastComponentInstance:
                 self.executor.active_groups() if self._running() else set()
             )
         ]
-        for child in self.children.values():
-            if isinstance(child, FastComponentInstance):
-                out.extend(child.stuck_groups())
+        for child in self._subinstances:
+            out.extend(child.stuck_groups())
         return out
 
     def deadlock_report(self) -> str:
@@ -996,11 +1036,10 @@ class FastComponentInstance:
                 f"{self.path}: running but no group is active "
                 f"(control executor state inconsistent?)"
             )
-        for child in self.children.values():
-            if isinstance(child, FastComponentInstance):
-                sub = child.deadlock_report()
-                if sub:
-                    lines.append(sub)
+        for child in self._subinstances:
+            sub = child.deadlock_report()
+            if sub:
+                lines.append(sub)
         return "\n".join(lines)
 
     # -- inspection ----------------------------------------------------------

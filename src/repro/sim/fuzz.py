@@ -1,7 +1,7 @@
 """Property-based cross-checking of the two simulation engines.
 
 A seeded generator of small, well-formed Calyx components — registers,
-adders, comparators, and ``seq``/``par``/``if``/``while`` control — whose
+every two-input operator, and ``seq``/``par``/``if``/``while`` control — whose
 behavior under the sweep engine and the levelized engine is compared
 observable-for-observable: cycle count, final register values, and the
 structural done-net valuation.
@@ -169,7 +169,7 @@ class _Generator:
         return name
 
     def _write_group(self, target: str, usable: List[str]) -> GroupSpec:
-        """A group writing ``target`` from a constant, register, or adder."""
+        """A group writing ``target`` from a constant, register, or operator."""
         rng = self.rng
         name = self.fresh("g")
         choice = rng.randrange(3)
@@ -179,7 +179,9 @@ class _Generator:
         elif choice == 1:
             src = f"{rng.choice(usable)}.out"
         else:
-            op = rng.choice(["std_add", "std_sub", "std_and", "std_xor"])
+            op = rng.choice(
+                ["std_add", "std_sub", "std_and", "std_or", "std_xor", "std_lsh", "std_rsh", "std_mult"]
+            )
             adder = self.new_cell("a", f"{op}({WIDTH})")
             left = rng.choice(usable)
             if rng.random() < 0.5:
@@ -202,7 +204,7 @@ class _Generator:
     def _cond(self, readable: List[str]) -> Tuple[str, str, GroupSpec]:
         """A comparator-backed combinational condition group."""
         rng = self.rng
-        op = rng.choice(["std_lt", "std_gt", "std_eq", "std_neq", "std_le"])
+        op = rng.choice(["std_lt", "std_gt", "std_eq", "std_neq", "std_le", "std_ge"])
         cmp_cell = self.new_cell("c", f"{op}({WIDTH})")
         name = self.fresh("cond")
         left = rng.choice(readable) if readable else None

@@ -12,7 +12,8 @@ to levelize netlists and to detect combinational cycles.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+import math
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError, UndefinedError
 from repro.stdlib.primitives import DIV_LATENCY, MULT_LATENCY, get_primitive
@@ -32,7 +33,9 @@ class PrimitiveModel:
       input port values and the current internal state,
     * ``tick(inputs)`` — state update at the clock edge,
     * ``comb_deps`` — dict mapping each output port to the input ports it
-      reads combinationally (empty list for registered outputs).
+      reads combinationally (empty list for registered outputs),
+    * optionally ``render`` — the same semantics as Python source, which
+      the levelized engine inlines into its generated code.
     """
 
     #: class-level default overridden by instances where widths matter
@@ -50,26 +53,64 @@ class PrimitiveModel:
     def reset(self) -> None:
         """Return the model to its power-on state."""
 
+    def render(self, ins: Dict[str, str], m: str, changed: str) -> Optional[Rendered]:
+        """``comb`` as output port -> expression and ``tick`` as clock-edge
+        lines, or ``None`` (call them instead). ``ins`` maps input ports to
+        source, ``m`` is source for this model, and the edge lines run the
+        statement ``changed`` whenever a registered output may have moved."""
+        return None
+
+
+#: ``(output port -> expression, clock-edge lines)`` of :meth:`PrimitiveModel.render`.
+Rendered = Tuple[Dict[str, str], List[str]]
+
 
 # ---------------------------------------------------------------------------
 # Combinational operators
 # ---------------------------------------------------------------------------
 
 
-class BinOpModel(PrimitiveModel):
-    """Two-input combinational operator with a Python function body."""
+#: Two-input operators: name -> (Python expression over ``{l}``, ``{r}`` and
+#: the width ``{w}``, whether the result is one bit). ``BinOpModel.fn`` and
+#: the rendered source are both formatted from these.
+BINOPS: Dict[str, Tuple[str, bool]] = {
+    "std_add": ("{l} + {r}", False),
+    "std_sub": ("{l} - {r}", False),
+    "std_and": ("{l} & {r}", False),
+    "std_or": ("{l} | {r}", False),
+    "std_xor": ("{l} ^ {r}", False),
+    "std_lsh": ("{l} << min({r}, {w})", False),
+    "std_rsh": ("{l} >> min({r}, {w})", False),
+    "std_mult": ("{l} * {r}", False),
+    "std_gt": ("{l} > {r}", True),
+    "std_lt": ("{l} < {r}", True),
+    "std_eq": ("{l} == {r}", True),
+    "std_neq": ("{l} != {r}", True),
+    "std_ge": ("{l} >= {r}", True),
+    "std_le": ("{l} <= {r}", True),
+}
 
-    def __init__(self, args: Sequence[int], fn: Callable[[int, int, int], int], out_width: Optional[int] = None):
+
+class BinOpModel(PrimitiveModel):
+    """Two-input combinational operator: ``fn`` and its body ``expr``, a
+    :data:`BINOPS` template."""
+
+    def __init__(self, args: Sequence[int], fn: Callable[[int, int, int], int], expr: str, out_width: Optional[int] = None):
         super().__init__(args)
         self.width = self.args[0]
         self.out_width = self.width if out_width is None else out_width
         self.fn = fn
+        self.expr = expr
         self.comb_deps = {"out": ["left", "right"]}
 
     def comb(self, inputs: Dict[str, int]) -> Dict[str, int]:
         left = inputs.get("left", 0)
         right = inputs.get("right", 0)
         return {"out": self.fn(left, right, self.width) & mask(self.out_width)}
+
+    def render(self, ins: Dict[str, str], m: str, changed: str) -> Optional[Rendered]:
+        body = self.expr.format(l=ins.get("left", "0"), r=ins.get("right", "0"), w=self.width)
+        return {"out": f"({body}) & {mask(self.out_width)}"}, []
 
 
 class WireModel(PrimitiveModel):
@@ -79,6 +120,9 @@ class WireModel(PrimitiveModel):
 
     def comb(self, inputs: Dict[str, int]) -> Dict[str, int]:
         return {"out": inputs.get("in", 0) & mask(self.args[0])}
+
+    def render(self, ins: Dict[str, str], m: str, changed: str) -> Optional[Rendered]:
+        return {"out": f"{ins.get('in', '0')} & {mask(self.args[0])}"}, []
 
 
 class ConstModel(PrimitiveModel):
@@ -90,6 +134,10 @@ class ConstModel(PrimitiveModel):
         width, value = self.args
         return {"out": value & mask(width)}
 
+    def render(self, ins: Dict[str, str], m: str, changed: str) -> Optional[Rendered]:
+        width, value = self.args
+        return {"out": str(value & mask(width))}, []
+
 
 class SliceModel(PrimitiveModel):
     """Truncate to the low ``OUT_WIDTH`` bits."""
@@ -100,6 +148,9 @@ class SliceModel(PrimitiveModel):
 
     def comb(self, inputs: Dict[str, int]) -> Dict[str, int]:
         return {"out": inputs.get("in", 0) & mask(self.args[1])}
+
+    def render(self, ins: Dict[str, str], m: str, changed: str) -> Optional[Rendered]:
+        return {"out": f"{ins.get('in', '0')} & {mask(self.args[1])}"}, []
 
 
 class PadModel(SliceModel):
@@ -114,6 +165,9 @@ class NotModel(PrimitiveModel):
     def comb(self, inputs: Dict[str, int]) -> Dict[str, int]:
         width = self.args[0]
         return {"out": (~inputs.get("in", 0)) & mask(width)}
+
+    def render(self, ins: Dict[str, str], m: str, changed: str) -> Optional[Rendered]:
+        return {"out": f"~{ins.get('in', '0')} & {mask(self.args[0])}"}, []
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +199,32 @@ class RegModel(PrimitiveModel):
         else:
             self.done = 0
 
+    def render(self, ins: Dict[str, str], m: str, changed: str) -> Optional[Rendered]:
+        write = f"{m}.value = {ins.get('in', '0')} & {mask(self.width)}; {m}.done = 1"
+        return {"out": f"{m}.value", "done": f"{m}.done"}, _edge(ins, m, changed, [write])
+
     def reset(self) -> None:
         self.value = 0
         self.done = 0
+
+
+def _edge(ins: Dict[str, str], m: str, changed: str, write: List[str]) -> List[str]:
+    """Clock-edge lines of registers and memories: ``write``, or ``done`` falls."""
+    return [
+        f"if {ins.get('write_en', '0')}:",
+        *(f" {line}" for line in write),
+        f" {changed}",
+        f"elif {m}.done: {m}.done = 0; {changed}",
+    ]
+
+
+def _mem_write(ins: Dict[str, str], m: str, index: str, in_range: str, width: int) -> List[str]:
+    """A memory write at ``index``; out of range, ``tick`` raises its error."""
+    literal = ", ".join(f"{port!r}: {src}" for port, src in ins.items())
+    return [
+        f"if {in_range}: {m}.data[{index}] = {ins.get('write_data', '0')} & {mask(width)}; {m}.done = 1",
+        f"else: {m}.tick({{{literal}}})",
+    ]
 
 
 class MemD1Model(PrimitiveModel):
@@ -186,6 +263,13 @@ class MemD1Model(PrimitiveModel):
             self.done = 1
         else:
             self.done = 0
+
+    def render(self, ins: Dict[str, str], m: str, changed: str) -> Optional[Rendered]:
+        addr = ins.get("addr0", "0")
+        in_range = f"{addr} < {self.size}"
+        read = f"{m}.data[{addr}] if {in_range} else 0"
+        write = _mem_write(ins, m, addr, in_range, self.width)
+        return {"read_data": read, "done": f"{m}.done"}, _edge(ins, m, changed, write)
 
     def reset(self) -> None:
         self.data = [0] * self.size
@@ -226,6 +310,14 @@ class MemD2Model(PrimitiveModel):
             self.done = 1
         else:
             self.done = 0
+
+    def render(self, ins: Dict[str, str], m: str, changed: str) -> Optional[Rendered]:
+        a0, a1 = ins.get("addr0", "0"), ins.get("addr1", "0")
+        in_range = f"{a0} < {self.d0} and {a1} < {self.d1}"
+        index = f"{a0} * {self.d1} + {a1}"
+        read = f"{m}.data[{index}] if {in_range} else 0"
+        write = _mem_write(ins, m, index, in_range, self.width)
+        return {"read_data": read, "done": f"{m}.done"}, _edge(ins, m, changed, write)
 
     def reset(self) -> None:
         self.data = [0] * (self.d0 * self.d1)
@@ -318,7 +410,7 @@ class SqrtModel(PipelinedOpModel):
     out_ports = ("out",)
 
     def compute(self, inputs: Dict[str, int]) -> Dict[str, int]:
-        return {"out": int(inputs.get("in", 0) ** 0.5)}
+        return {"out": math.isqrt(inputs.get("in", 0))}
 
     def _effective_latency(self, inputs: Dict[str, int]) -> int:
         return max(1, inputs.get("in", 0).bit_length() // 2 + 1)
@@ -329,12 +421,9 @@ class SqrtModel(PipelinedOpModel):
 # ---------------------------------------------------------------------------
 
 
-def _arith(fn: Callable[[int, int, int], int]) -> Callable[[Sequence[int]], BinOpModel]:
-    return lambda args: BinOpModel(args, fn)
-
-
-def _cmp(fn: Callable[[int, int, int], int]) -> Callable[[Sequence[int]], BinOpModel]:
-    return lambda args: BinOpModel(args, fn, out_width=1)
+def _binop(expr: str, one_bit: bool) -> Callable[[Sequence[int]], BinOpModel]:
+    fn = eval(f"lambda l, r, w: {expr.format(l='l', r='r', w='w')}")
+    return lambda args: BinOpModel(args, fn, expr, out_width=1 if one_bit else None)
 
 
 _MODELS: Dict[str, Callable[[Sequence[int]], PrimitiveModel]] = {
@@ -343,20 +432,7 @@ _MODELS: Dict[str, Callable[[Sequence[int]], PrimitiveModel]] = {
     "std_slice": SliceModel,
     "std_pad": PadModel,
     "std_not": NotModel,
-    "std_add": _arith(lambda l, r, w: l + r),
-    "std_sub": _arith(lambda l, r, w: l - r),
-    "std_and": _arith(lambda l, r, w: l & r),
-    "std_or": _arith(lambda l, r, w: l | r),
-    "std_xor": _arith(lambda l, r, w: l ^ r),
-    "std_lsh": _arith(lambda l, r, w: l << min(r, w)),
-    "std_rsh": _arith(lambda l, r, w: l >> min(r, w)),
-    "std_mult": _arith(lambda l, r, w: l * r),
-    "std_gt": _cmp(lambda l, r, w: int(l > r)),
-    "std_lt": _cmp(lambda l, r, w: int(l < r)),
-    "std_eq": _cmp(lambda l, r, w: int(l == r)),
-    "std_neq": _cmp(lambda l, r, w: int(l != r)),
-    "std_ge": _cmp(lambda l, r, w: int(l >= r)),
-    "std_le": _cmp(lambda l, r, w: int(l <= r)),
+    **{name: _binop(expr, one_bit) for name, (expr, one_bit) in BINOPS.items()},
     "std_reg": RegModel,
     "std_mem_d1": MemD1Model,
     "std_mem_d2": MemD2Model,

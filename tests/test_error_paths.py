@@ -2,7 +2,8 @@
 
 Each test drives a *real* failing scenario end-to-end: a genuine
 combinational cycle through two cells, a genuine double drive during
-simulation, and a bad pipeline name through the public entry point.
+simulation, an out-of-range memory write, and a bad pipeline name through
+the public entry point.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from repro.errors import (
     CombinationalLoopError,
     MultipleDriverError,
     PassError,
+    SimulationError,
 )
 from repro.ir import parse_program
 from repro.passes import compile_program
@@ -93,6 +95,52 @@ component main(go: 1) -> (done: 1) {
             "  r.in = flag.out ? 32'd1;\n"
             "  r.in = 32'd2;"
         )
+
+
+OOB_WRITE = """
+component main(go: 1) -> (done: 1) {
+  cells { @external m = %s; a = std_reg(2); }
+  wires {
+    group set { a.in = 2'd3; a.write_en = 1; set[done] = a.done; }
+    group put {
+      %s
+      m.write_data = 8'd7; m.write_en = 1;
+      put[done] = m.done;
+    }
+  }
+  control { seq { set; put; } }
+}
+"""
+
+
+class TestMemoryBounds:
+    @pytest.mark.parametrize("engine", ["sweep", "levelized"])
+    @pytest.mark.parametrize(
+        "decl, addrs, message",
+        [
+            (
+                "std_mem_d1(8, 3, 2)",
+                "m.addr0 = a.out;",
+                "std_mem_d1 write out of bounds: addr=3 size=3",
+            ),
+            (
+                "std_mem_d2(8, 2, 3, 2, 2)",
+                "m.addr0 = 2'd1; m.addr1 = a.out;",
+                "std_mem_d2 write out of bounds: addr=(1, 3)",
+            ),
+        ],
+        ids=["d1", "d2"],
+    )
+    @pytest.mark.parametrize("pipeline", [None, "all"])
+    def test_out_of_range_write(self, engine, decl, addrs, message, pipeline):
+        """A write past the end raises the model's error under both engines,
+        unlowered and lowered (where the levelized engine inlines the write)."""
+        program = parse_program(OOB_WRITE % (decl, addrs))
+        if pipeline is not None:
+            compile_program(program, pipeline)
+        with pytest.raises(SimulationError) as exc_info:
+            run_program(program, engine=engine)
+        assert str(exc_info.value) == message
 
 
 class TestPassErrors:

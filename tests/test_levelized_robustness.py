@@ -24,6 +24,7 @@ from repro.errors import (
     WallClockTimeoutError,
 )
 from repro.ir import parse_program
+from repro.passes import compile_program
 from repro.robustness import NetFault, run_selftest
 from repro.sim import Watchdog, run_program
 from tests.conftest import SUM_LOOP
@@ -136,6 +137,39 @@ class TestLevelizedNetFaults:
             engine="levelized",
         )
         assert faulty.mem("mem") == clean.mem("mem")
+
+
+def _faulty_run(fault: NetFault, pipeline, engine: str):
+    """``(cycles, memories)`` of SUM_LOOP under ``fault``, or the error class."""
+    program = parse_program(SUM_LOOP)
+    if pipeline is not None:
+        compile_program(program, pipeline)
+    try:
+        result = run_program(
+            program,
+            memories={"mem": [1, 2, 3, 4]},
+            watchdog=Watchdog(max_cycles=2_000, fault_hook=fault.hook()),
+            engine=engine,
+        )
+    except SimulationError as err:
+        return type(err)
+    return result.cycles, result.memories
+
+
+class TestLevelizedRegisteredOutputFaults:
+    """Faults on the outputs of registers and memories, which the levelized
+    engine recomputes only when their cell's code is marked: the engine
+    must heal them exactly when the sweep engine's full settle does."""
+
+    @pytest.mark.parametrize("pipeline", [None, "all"])
+    @pytest.mark.parametrize("kind", ["stuck0", "stuck1", "flip"])
+    @pytest.mark.parametrize("net", ["acc.out", "acc.done", "mem.read_data", "mem.done"])
+    def test_levelized_matches_sweep(self, net, kind, pipeline):
+        for start, end in [(0, 2_000), (3, 4), (5, 9), (12, 30)]:
+            for bit in (0, 1):
+                fault = NetFault(net, kind, start=start, end=end, bit=bit)
+                expected = _faulty_run(fault, pipeline, "sweep")
+                assert _faulty_run(fault, pipeline, "levelized") == expected, (start, end, bit)
 
 
 class TestLevelizedSelftest:

@@ -156,6 +156,11 @@ class TestPipelinedModels:
         assert out_big["out"] == 1 << 15
         assert big > small  # latency grows with operand size
 
+    def test_sqrt_exact_past_float_precision(self):
+        # (2**32 - 1)**2 - 1 needs 64 bits; a float root rounds it up.
+        _, out = self.run_unit(SqrtModel((64,)), {"in": (2**32 - 1) ** 2 - 1})
+        assert out["out"] == 2**32 - 2
+
 
 class TestArithModels:
     @given(
