@@ -10,11 +10,21 @@ deduplicate and simplify them.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List
+import operator
+from typing import Callable, Dict, Iterator, List
 
 from repro.ir.ports import PortRef
 
-CMP_OPS = ("==", "!=", "<", ">", "<=", ">=")
+#: The comparison operators and their (unsigned, integer) semantics.
+CMP_FNS: Dict[str, Callable[[int, int], bool]] = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+}
+CMP_OPS = tuple(CMP_FNS)
 
 
 class Guard:

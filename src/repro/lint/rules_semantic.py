@@ -19,6 +19,7 @@ from repro.ir.ast import ConstPort
 from repro.ir.attributes import STATIC
 from repro.ir.control import If, Repeat, While
 from repro.ir.guards import (
+    CMP_FNS,
     AndGuard,
     CmpGuard,
     Guard,
@@ -51,16 +52,7 @@ def _cmp_atom(guard: CmpGuard) -> Tuple[Optional[Atom], bool, Optional[bool]]:
     """
     left, right = guard.left, guard.right
     if isinstance(left, ConstPort) and isinstance(right, ConstPort):
-        lv, rv = left.value, right.value
-        value = {
-            "==": lv == rv,
-            "!=": lv != rv,
-            "<": lv < rv,
-            ">": lv > rv,
-            "<=": lv <= rv,
-            ">=": lv >= rv,
-        }[guard.op]
-        return None, True, value
+        return None, True, CMP_FNS[guard.op](left.value, right.value)
     lkey, rkey = left.to_string(), right.to_string()
     if guard.op in ("==", "!="):
         atom = ("eq",) + tuple(sorted((lkey, rkey)))

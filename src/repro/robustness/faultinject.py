@@ -27,7 +27,7 @@ from repro.ir.ast import CellPort, Component, Program, ThisPort
 from repro.ir.guards import NotGuard
 from repro.lint.context import ComponentView
 from repro.robustness.difftest import DifftestReport, difftest_program
-from repro.sim.model import ComponentInstance
+from repro.sim.model import SimInstance
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +169,10 @@ class NetFault:
             return CellPort(cell, port)
         return ThisPort(self.net)
 
-    def hook(self) -> Callable[[int, ComponentInstance], None]:
+    def hook(self) -> Callable[[int, SimInstance], None]:
         ref = self._ref()
 
-        def fault_hook(cycle: int, inst: ComponentInstance) -> None:
+        def fault_hook(cycle: int, inst: SimInstance) -> None:
             if not (self.start <= cycle < self.end):
                 return
             value = inst.nets.get(ref, 0)

@@ -15,7 +15,7 @@ Differential testing between the two modes validates the compiler.
 """
 
 from repro.sim.fastmodel import FastComponentInstance
-from repro.sim.model import ComponentInstance, eval_guard
+from repro.sim.model import ComponentInstance, SimInstance, eval_guard
 from repro.sim.testbench import (
     Testbench,
     SimulationResult,
@@ -31,6 +31,7 @@ from repro.sim.testbench import (
 __all__ = [
     "ComponentInstance",
     "FastComponentInstance",
+    "SimInstance",
     "eval_guard",
     "Testbench",
     "SimulationResult",

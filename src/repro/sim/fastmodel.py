@@ -29,26 +29,21 @@ netlist, so that work can be scheduled once, at construction:
   their SCC, preserving :class:`~repro.errors.OscillationError` /
   :class:`~repro.errors.CombinationalLoopError` semantics.
 
-The class mirrors :class:`~repro.sim.model.ComponentInstance`'s protocol
-(``comb``/``tick``/``reset``, ``nets``, ``find``, watchdog hooks), so the
+The engine subclasses :class:`~repro.sim.model.SimInstance`, which owns
+the instance tree, control stepping, ``tick``/``reset``, the watchdog
+hooks, path lookup and the oscillation probe; this module supplies the
+slot-array net view, the generated settle and the clock edge. The
 testbench, watchdog, deadlock reporting, and windowed net-fault injection
-all compose unchanged. Both engines are locked together by
+therefore see one protocol. Both engines are locked together by
 ``tests/test_engine_equivalence.py``.
 """
 
 from __future__ import annotations
 
-import operator
 from collections.abc import MutableMapping
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
-from repro.errors import (
-    CombinationalLoopError,
-    MultipleDriverError,
-    OscillationError,
-    SimulationError,
-    UndefinedError,
-)
+from repro.errors import MultipleDriverError, SimulationError
 from repro.ir.ast import (
     Assignment,
     CellPort,
@@ -62,6 +57,7 @@ from repro.ir.ast import (
 from repro.analysis.graph import cyclic_sccs, tarjan_scc
 from repro.ir.control import Invoke
 from repro.ir.guards import (
+    CMP_FNS,
     AndGuard,
     CmpGuard,
     Guard,
@@ -72,18 +68,9 @@ from repro.ir.guards import (
 )
 from repro.ir.ports import DONE, GO
 from repro.ir.types import Direction
-from repro.sim.model import ControlExecutor, PrimitiveInstance, eval_guard
-from repro.sim.structural import check_structural_drivers, static_drivers
-from repro.stdlib.behaviors import PrimitiveModel, Rendered, make_model
-
-_CMP_FNS: Dict[str, Callable[[int, int], bool]] = {
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    ">": operator.gt,
-    "<=": operator.le,
-    ">=": operator.ge,
-}
+from repro.sim.model import SimInstance
+from repro.sim.structural import invoke_assignments, static_drivers
+from repro.stdlib.behaviors import PrimitiveModel, Rendered
 
 _EMPTY: frozenset = frozenset()
 
@@ -150,7 +137,7 @@ class _GuardCompiler:
             lconst, left = self._operand(guard.left)
             rconst, right = self._operand(guard.right)
             if lconst and rconst:
-                return _ATOM, str(_CMP_FNS[guard.op](left, right))
+                return _ATOM, str(CMP_FNS[guard.op](left, right))
             return _ATOM, f"{left} {guard.op} {right}"
         raise SimulationError(f"cannot compile guard {guard!r}")
 
@@ -386,12 +373,8 @@ class _SlotNets(MutableMapping):
 # ---------------------------------------------------------------------------
 
 
-class FastComponentInstance:
+class FastComponentInstance(SimInstance):
     """Levelized, event-driven drop-in for :class:`ComponentInstance`."""
-
-    #: Extra probe sweeps used to tell a limit cycle from non-convergence
-    #: (mirrors the sweep engine's constant).
-    OSCILLATION_PROBE_ITERS = 64
 
     def __init__(
         self,
@@ -402,51 +385,17 @@ class FastComponentInstance:
     ):
         """``code`` holds the compiled drain and fire functions per component
         (keyed by ``id``), shared by every instance in one engine build."""
-        self.program = program
-        self.comp = comp
-        self.path = path
-        self.children: Dict[str, object] = {}
-        self.input_ports = [p.name for p in comp.inputs]
         self._code = {} if code is None else code
-        for cell in comp.cells.values():
-            self.children[cell.name] = self._make_child(cell)
-        self._subinstances = [c for c in self.children.values() if isinstance(c, FastComponentInstance)]
-        self._done_from_wires = any(
-            isinstance(a.dst, ThisPort) and a.dst.port == DONE
-            for _, a in comp.all_assignments()
-        )
-        check_structural_drivers(comp, self.path)
-        self.executor = ControlExecutor(self, comp.control)
+        super().__init__(program, comp, path)
         self._extra_nets: Dict[PortRef, int] = {}
         self._io_deps: Optional[List[str]] = None
         self._build()
         self.nets = _SlotNets(self)
-        self._go_was_high = False
-        self._reset_dynamic()
+        self._reset_nets()
 
     # -- construction -----------------------------------------------------
-    def _make_child(self, cell) -> object:
-        name = cell.comp_name
-        if self.program.has_component(name):
-            target = self.program.get_component(name)
-            if target.cells or target.groups or target.continuous or not target.control.is_empty():
-                return FastComponentInstance(
-                    self.program, target, f"{self.path}.{cell.name}", self._code
-                )
-            is_extern = any(
-                any(c.name == name for c in e.components) for e in self.program.externs
-            )
-            if is_extern:
-                return PrimitiveInstance(
-                    make_model(name, cell.args),
-                    [p.name for p in target.inputs],
-                )
-            return FastComponentInstance(
-                self.program, target, f"{self.path}.{cell.name}", self._code
-            )
-        sig = self.program.cell_signature(cell)
-        inputs = [p.name for p in sig.values() if p.direction is Direction.INPUT]
-        return PrimitiveInstance(make_model(name, cell.args), inputs)
+    def _sub_instance(self, comp: Component, path: str) -> "FastComponentInstance":
+        return FastComponentInstance(self.program, comp, path, self._code)
 
     def _slot(self, ref: PortRef) -> int:
         slot = self._slots.get(ref)
@@ -510,31 +459,17 @@ class FastComponentInstance:
             flag = len(self._flag_dsts)
             self._invoke_flag_of[id(node)] = flag
             dsts: List[PortRef] = []
-            synthesized: List[Assignment] = []
-            for port, src in node.in_binds.items():
-                synthesized.append(Assignment(CellPort(node.cell, port), src))
-            for port, dst in node.out_binds.items():
-                synthesized.append(Assignment(dst, CellPort(node.cell, port)))
-            synthesized.append(
-                Assignment(
-                    CellPort(node.cell, GO),
-                    ConstPort(1, 1),
-                    NotGuard(PortGuard(CellPort(node.cell, DONE))),
-                )
-            )
-            for assign in synthesized:
+            for assign in invoke_assignments(node):
                 driver, reads = self._compile_driver(None, flag, assign)
                 add_driver(assign.dst, driver, reads)
                 dsts.append(assign.dst)
             self._flag_dsts.append(dsts)
 
         # Every group's go hole resolves even with no structural driver, so
-        # deactivating groups release their assignments; invoke dsts too.
+        # deactivating groups release their assignments.
         all_dsts: List[PortRef] = list(driver_map)
         seen = set(driver_map)
-        for extra in [HolePort(name, GO) for name in comp.groups] + list(
-            self.executor.extra_dsts()
-        ):
+        for extra in [HolePort(name, GO) for name in comp.groups]:
             if extra not in seen:
                 seen.add(extra)
                 all_dsts.append(extra)
@@ -562,15 +497,15 @@ class FastComponentInstance:
                 for p in sig.values()
                 if p.direction is Direction.OUTPUT
             }
-            if isinstance(child, PrimitiveInstance):
-                deps = child.model.comb_deps
+            if isinstance(child, PrimitiveModel):
+                deps = child.comb_deps
                 if deps:
                     dep_names = sorted({d for lst in deps.values() for d in lst})
                 else:
                     # A model that declares nothing is treated as fully
                     # combinational: safe for externs that predate comb_deps.
                     dep_names = list(in_ports)
-                stateful = type(child.model).tick is not PrimitiveModel.tick
+                stateful = type(child).tick is not PrimitiveModel.tick
             else:
                 dep_names = child.comb_input_deps()
                 stateful = True
@@ -609,7 +544,10 @@ class FastComponentInstance:
             self._done_node = index
 
         #: Per child node, the primitive model its inlined code reads.
-        self._models = [getattr(child, "model", None) for child in self.children.values()]
+        self._models = [
+            child if isinstance(child, PrimitiveModel) else None
+            for child in self.children.values()
+        ]
         self._values: List[int] = [0] * len(self._slot_refs)
         self._port_slot = {r.port: s for r, s in self._slots.items() if isinstance(r, ThisPort)}
         self._out_slots = [(p.name, self._port_slot[p.name]) for p in comp.outputs]
@@ -722,10 +660,10 @@ class FastComponentInstance:
 
     def _render(self, node, scc: int) -> Optional[Rendered]:
         """The inline form of a primitive child node, or ``None``."""
-        if not isinstance(node, _ChildNode) or not isinstance(node.child, PrimitiveInstance):
+        if not isinstance(node, _ChildNode) or not isinstance(node.child, PrimitiveModel):
             return None
         ins = {p: f"v[{s}]" for p, s in zip(node.in_ports, node.in_slots)}
-        return node.child.model.render(ins, f"M[{node.index}]", f"d[{scc}] = 1")
+        return node.child.render(ins, f"M[{node.index}]", f"d[{scc}] = 1")
 
     def _commit(self, slot: int, pad: str) -> str:
         """Source storing ``x`` into ``slot`` and marking its readers if it changed."""
@@ -779,7 +717,8 @@ class FastComponentInstance:
         return False
 
     # -- dirty-set bookkeeping --------------------------------------------
-    def _reset_dynamic(self) -> None:
+    def _reset_nets(self) -> None:
+        """Zero the nets and the phase state derived from them; all dirty."""
         self._values[:] = [0] * len(self._values)
         self._extra_nets.clear()
         self._invoke_flags: List[bool] = [False] * len(self._flag_dsts)
@@ -815,11 +754,6 @@ class FastComponentInstance:
         values = self._values
         return {name: values[slot] for name, slot in self._out_slots}
 
-    def tick(self, inputs: Dict[str, int]) -> None:
-        self._apply_inputs(inputs)
-        self.settle()
-        self.step_edge()
-
     def _apply_inputs(self, inputs: Dict[str, int]) -> None:
         values = self._values
         slot_of = self._port_slot
@@ -831,12 +765,9 @@ class FastComponentInstance:
                 values[slot] = value
                 self._mark_slot(slot)
 
-    def reset(self) -> None:
-        self.executor.reset()
-        for child in self.children.values():
-            child.reset()
-        self._go_was_high = False
-        self._reset_dynamic()
+    def _done_values(self) -> List[int]:
+        values = self._values
+        return [values[slot] for slot in self._done_slots]
 
     # -- simulation core ----------------------------------------------------
     def _running(self) -> bool:
@@ -901,69 +832,19 @@ class FastComponentInstance:
                             dirty[reader] = 1
             if not any_change:
                 return
-        self._diagnose_nonconvergence(limit)
-
-    def _diagnose_nonconvergence(self, spent_iters: int) -> None:
-        """Out of iterations: classify limit cycle vs. divergence.
-
-        Escalates to whole-design probe sweeps (every node, in order) while
-        fingerprinting the slot array — the levelized analogue of the sweep
-        engine's diagnosis, raising :class:`OscillationError` with the
-        toggling nets and period on a repeated fingerprint, else
-        :class:`CombinationalLoopError`.
-        """
+        # Out of iterations: escalate to whole-design probe sweeps (every
+        # node, in order) to classify a limit cycle vs. divergence. If the
+        # logic converges late, the probe visited every node, so the dirty
+        # bookkeeping is satisfied wholesale.
         fires = [node.fire or node.compile_fire() for node in self._nodes]
-        seen: Dict[Tuple[int, ...], int] = {}
-        history: List[List[int]] = []
-        for i in range(self.OSCILLATION_PROBE_ITERS):
-            fingerprint = tuple(self._values)
-            if fingerprint in seen:
-                start = seen[fingerprint]
-                period = i - start
-                cycle_states = history[start:]
-                toggling = sorted(
-                    {
-                        self._slot_refs[slot].to_string()
-                        for state in cycle_states
-                        for slot, val in enumerate(state)
-                        if any(s[slot] != val for s in cycle_states)
-                    }
-                )
-                raise OscillationError(
-                    f"{self.path}: combinational limit cycle with period "
-                    f"{period}: nets oscillate forever: "
-                    + ", ".join(toggling[:12])
-                    + ("..." if len(toggling) > 12 else ""),
-                    nets=toggling,
-                    period=period,
-                ).with_state(self.state_dump())
-            seen[fingerprint] = i
-            history.append(list(self._values))
-            any_change = False
-            for fire in fires:
-                if fire(self):
-                    any_change = True
-            if not any_change:
-                # Converged late: the probe visited every node, so the
-                # dirty bookkeeping is satisfied wholesale.
-                self._dirty[:] = [0] * len(self._dirty)
-                return
-        raise CombinationalLoopError(
-            f"{self.path}: combinational logic did not converge after "
-            f"{spent_iters + self.OSCILLATION_PROBE_ITERS} iterations "
-            f"(values still changing; not a finite limit cycle)"
-        ).with_state(self.state_dump())
+        self._probe_nonconvergence(lambda: any([fire(self) for fire in fires]), limit)
+        dirty[:] = [0] * len(dirty)
 
     def step_edge(self) -> None:
         """The clock edge: latch children, advance control state."""
         values = self._values
         pending = [(node.child, node.inputs(values)) for node in self._tick_nodes]
-        if self._running():
-            self.executor.step()
-            self._go_was_high = True
-        elif self._go_was_high:
-            self.executor.reset()
-            self._go_was_high = False
+        self._step_control()
         for child, ins in pending:
             child.tick(ins)
         dirty = self._dirty
@@ -971,90 +852,3 @@ class FastComponentInstance:
             edge(values, dirty, self._models)
         for scc in self._stateful_sccs:
             dirty[scc] = 1
-
-    # -- watchdog support ----------------------------------------------------
-    def state_dump(self, max_nets: int = 48) -> str:
-        """Human-readable snapshot of nets and control state for reports."""
-        lines = [f"instance {self.path}:"]
-        if self.comp.groups:
-            active = sorted(
-                self.executor.active_groups() if self._running() else set()
-            )
-            lines.append(f"  active groups: {', '.join(active) or '(none)'}")
-        nets = sorted(
-            (ref.to_string(), self._values[slot])
-            for ref, slot in self._slots.items()
-        )
-        for name, val in nets[:max_nets]:
-            lines.append(f"  {name} = {val}")
-        if len(nets) > max_nets:
-            lines.append(f"  ... ({len(nets) - max_nets} more nets)")
-        for child in self._subinstances:
-            lines.append(child.state_dump(max_nets=max_nets // 2))
-        return "\n".join(lines)
-
-    def done_signature(self) -> Tuple:
-        """Values of every ``done``-like net, recursively (watchdog food)."""
-        values: List[object] = [self._values[slot] for slot in self._done_slots]
-        for child in self._subinstances:
-            values.append(child.done_signature())
-        return tuple(values)
-
-    def stuck_groups(self) -> List[str]:
-        """Dotted names of groups active right now, recursively."""
-        out = [
-            f"{self.path}.{name}"
-            for name in sorted(
-                self.executor.active_groups() if self._running() else set()
-            )
-        ]
-        for child in self._subinstances:
-            out.extend(child.stuck_groups())
-        return out
-
-    def deadlock_report(self) -> str:
-        """Explain what each active group's done condition is waiting on."""
-        lines: List[str] = []
-        active = sorted(
-            self.executor.active_groups() if self._running() else set()
-        )
-        for name in active:
-            group = self.comp.groups[name]
-            lines.append(f"{self.path}: group {name!r} is stuck; waiting on:")
-            done_writes = group.done_assignments()
-            if not done_writes:
-                lines.append("    (group has no done condition)")
-            for assign in done_writes:
-                guard_val = eval_guard(assign.guard, self.read)
-                src_val = self.read(assign.src)
-                lines.append(
-                    f"    {assign.to_string()}  "
-                    f"[guard={'1' if guard_val else '0'}, src={src_val}]"
-                )
-        if not active and self._running() and self.comp.groups:
-            lines.append(
-                f"{self.path}: running but no group is active "
-                f"(control executor state inconsistent?)"
-            )
-        for child in self._subinstances:
-            sub = child.deadlock_report()
-            if sub:
-                lines.append(sub)
-        return "\n".join(lines)
-
-    # -- inspection ----------------------------------------------------------
-    def find(self, path: str) -> object:
-        """Locate a child instance by dotted cell path (e.g. ``"pe0.acc"``)."""
-        parts = path.split(".")
-        node: object = self
-        for part in parts:
-            if not isinstance(node, FastComponentInstance) or part not in node.children:
-                raise UndefinedError(f"no cell at path {path!r}")
-            node = node.children[part]
-        return node
-
-    def find_model(self, path: str) -> PrimitiveModel:
-        node = self.find(path)
-        if isinstance(node, PrimitiveInstance):
-            return node.model
-        raise UndefinedError(f"cell at {path!r} is not a primitive")

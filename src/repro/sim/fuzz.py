@@ -32,6 +32,8 @@ from repro.ir import parse_program
 from repro.ir.ast import CellPort, HolePort, ThisPort
 from repro.ir.ports import DONE
 from repro.sim import Testbench
+from repro.sim.model import SimInstance
+from repro.stdlib.behaviors import RegModel
 
 WIDTH = 8
 
@@ -336,7 +338,7 @@ def canonical_done_nets(inst) -> Dict[str, int]:
         )
     values[f"{inst.path}::done"] = inst.read(ThisPort(DONE))
     for child in inst.children.values():
-        if hasattr(child, "comp"):
+        if isinstance(child, SimInstance):
             values.update(canonical_done_nets(child))
     return values
 
@@ -349,11 +351,11 @@ def _observe(source: str, engine: str, pipeline: Optional[str], max_cycles: int 
         program = compile_program(program, pipeline)
     bench = Testbench(program, engine=engine)
     result = bench.run(max_cycles=max_cycles)
-    regs = {}
-    for name, child in bench.instance.children.items():
-        model = getattr(child, "model", None)
-        if model is not None and hasattr(model, "value"):
-            regs[name] = model.value
+    regs = {
+        name: child.value
+        for name, child in bench.instance.children.items()
+        if isinstance(child, RegModel)
+    }
     return {
         "cycles": result.cycles,
         "registers": regs,

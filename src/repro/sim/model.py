@@ -1,10 +1,17 @@
-"""The simulation model: component instances and the control executor.
+"""The simulation model: the shared instance core, the sweep engine, and
+the control executor.
 
-A :class:`ComponentInstance` simulates one instantiation of a component.
-It exposes the same protocol as a primitive model — ``comb`` (combinational
+:class:`SimInstance` is what both engines share: the instance tree (one
+child per cell, either a primitive model or a nested instance), control
+stepping at the clock edge, the watchdog's introspection (``state_dump``,
+``done_signature``, ``stuck_groups``, ``deadlock_report``), path lookup,
+and the diagnosis of combinational logic that does not converge. An
+engine supplies the net view and the settle loop.
+
+:class:`ComponentInstance` is the reference *sweep* engine. Each instance
+exposes the same protocol as a primitive model — ``comb`` (combinational
 outputs from inputs) and ``tick`` (clock edge) — so hierarchy falls out
-naturally: a component's cells are primitive models or nested component
-instances, and a parent's settle loop iterates its children to a joint
+naturally: a parent's settle loop iterates its children to a joint
 fixpoint.
 
 Group activation follows the paper's semantics: a group's assignments are
@@ -16,11 +23,12 @@ assignment drives it — the latter is how programs behave after the
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, MutableMapping, Optional, Set, Tuple
 
 from repro.errors import (
     CombinationalLoopError,
     MultipleDriverError,
+    OscillationError,
     SimulationError,
     UndefinedError,
 )
@@ -29,7 +37,6 @@ from repro.ir.ast import (
     CellPort,
     Component,
     ConstPort,
-    Group,
     HolePort,
     PortRef,
     Program,
@@ -47,6 +54,7 @@ from repro.ir.control import (
     While,
 )
 from repro.ir.guards import (
+    CMP_FNS,
     AndGuard,
     CmpGuard,
     Guard,
@@ -57,7 +65,11 @@ from repro.ir.guards import (
 )
 from repro.ir.ports import DONE, GO
 from repro.ir.types import Direction
-from repro.sim.structural import check_structural_drivers, static_drivers
+from repro.sim.structural import (
+    check_structural_drivers,
+    invoke_assignments,
+    static_drivers,
+)
 from repro.stdlib.behaviors import PrimitiveModel, make_model
 
 ReadFn = Callable[[PortRef], int]
@@ -76,58 +88,36 @@ def eval_guard(guard: Guard, read: ReadFn) -> bool:
     if isinstance(guard, OrGuard):
         return eval_guard(guard.left, read) or eval_guard(guard.right, read)
     if isinstance(guard, CmpGuard):
-        left, right = read(guard.left), read(guard.right)
-        if guard.op == "==":
-            return left == right
-        if guard.op == "!=":
-            return left != right
-        if guard.op == "<":
-            return left < right
-        if guard.op == ">":
-            return left > right
-        if guard.op == "<=":
-            return left <= right
-        return left >= right
+        return CMP_FNS[guard.op](read(guard.left), read(guard.right))
     raise SimulationError(f"cannot evaluate guard {guard!r}")
 
 
-class PrimitiveInstance:
-    """Adapter giving primitive models the child-instance protocol."""
+class SimInstance:
+    """One simulated instantiation of a component: the engine-neutral core.
 
-    def __init__(self, model: PrimitiveModel, input_ports: List[str]):
-        self.model = model
-        self.input_ports = input_ports
+    Owns the child tree, the control executor and its go/done calling
+    convention, the clock-edge ``tick``, ``reset``, the watchdog hooks,
+    path lookup and the non-convergence probe. An engine subclass supplies
+    the net view (``nets``, ``read``, ``_running``), ``settle``,
+    ``_apply_inputs``, ``_reset_nets``, ``_done_values`` and ``step_edge``
+    (which latches the children and calls :meth:`_step_control`).
+    """
 
-    def comb(self, inputs: Dict[str, int]) -> Dict[str, int]:
-        return self.model.comb(inputs)
+    #: Extra probe sweeps used to tell a limit cycle from non-convergence.
+    OSCILLATION_PROBE_ITERS = 64
 
-    def tick(self, inputs: Dict[str, int]) -> None:
-        self.model.tick(inputs)
-
-    def reset(self) -> None:
-        self.model.reset()
-
-
-class ComponentInstance:
-    """A simulated instantiation of a component (primitive protocol)."""
+    nets: MutableMapping[PortRef, int]
 
     def __init__(self, program: Program, comp: Component, path: str = "main"):
         self.program = program
         self.comp = comp
         self.path = path
-        self.nets: Dict[PortRef, int] = {}
-        self.children: Dict[str, object] = {}
-        self._child_inputs: Dict[str, List[str]] = {}
-        self.input_ports = [p.name for p in comp.inputs]
-
-        for cell in comp.cells.values():
-            child = self._make_child(cell)
-            self.children[cell.name] = child
-            sig = program.cell_signature(cell)
-            self._child_inputs[cell.name] = [
-                p.name for p in sig.values() if p.direction is Direction.INPUT
-            ]
-
+        self.children: Dict[str, object] = {
+            cell.name: self._make_child(cell) for cell in comp.cells.values()
+        }
+        self._subinstances: List[SimInstance] = [
+            c for c in self.children.values() if isinstance(c, SimInstance)
+        ]
         # True when wires drive this component's done port directly (the
         # lowered form); the executor then must not drive it.
         self._done_from_wires = any(
@@ -136,6 +126,195 @@ class ComponentInstance:
         )
         check_structural_drivers(comp, self.path)
         self.executor = ControlExecutor(self, comp.control)
+        self._go_was_high = False
+
+    def _make_child(self, cell) -> object:
+        """A primitive model, or a nested instance for a component with a
+        body. Extern components have no body; they need a registered model."""
+        name = cell.comp_name
+        if self.program.has_component(name):
+            target = self.program.get_component(name)
+            has_body = (
+                target.cells or target.groups or target.continuous
+                or not target.control.is_empty()
+            )
+            if has_body or not any(
+                any(c.name == name for c in e.components) for e in self.program.externs
+            ):
+                return self._sub_instance(target, f"{self.path}.{cell.name}")
+        return make_model(name, cell.args)
+
+    def _sub_instance(self, comp: Component, path: str) -> "SimInstance":
+        """A child instance of this engine (the levelized one shares its code)."""
+        return type(self)(self.program, comp, path)
+
+    # -- the primitive protocol ---------------------------------------------
+    def tick(self, inputs: Dict[str, int]) -> None:
+        self._apply_inputs(inputs)
+        self.settle()
+        self.step_edge()
+
+    def reset(self) -> None:
+        self.executor.reset()
+        for child in self.children.values():
+            child.reset()
+        self._go_was_high = False
+        self._reset_nets()
+
+    def _step_control(self) -> None:
+        """Advance control state at the clock edge."""
+        if self._running():
+            self.executor.step()
+            self._go_was_high = True
+        elif self._go_was_high:
+            # The calling convention: control state resets once go falls.
+            self.executor.reset()
+            self._go_was_high = False
+
+    def _probe_nonconvergence(self, sweep: Callable[[], bool], spent_iters: int) -> None:
+        """The settle loop ran out of iterations: classify the failure.
+
+        Keep calling ``sweep`` (one evaluation of every node; True if a
+        net changed) for a bounded number of extra iterations while
+        fingerprinting the nets. A repeated fingerprint proves a true
+        combinational limit cycle (:class:`OscillationError`, reporting the
+        nets that toggle and the period); no repeat within the probe means
+        generic non-convergence (:class:`CombinationalLoopError`). Returns
+        if the logic converges late after all.
+        """
+        seen: Dict[Tuple, int] = {}
+        history: List[Dict[PortRef, int]] = []
+        for i in range(self.OSCILLATION_PROBE_ITERS):
+            state = dict(self.nets)
+            fingerprint = tuple(
+                sorted((ref.to_string(), val) for ref, val in state.items())
+            )
+            if fingerprint in seen:
+                start = seen[fingerprint]
+                period = i - start
+                cycle_states = history[start:]
+                toggling = sorted(
+                    {
+                        ref.to_string()
+                        for state in cycle_states
+                        for ref, val in state.items()
+                        if any(s.get(ref, 0) != val for s in cycle_states)
+                    }
+                )
+                raise OscillationError(
+                    f"{self.path}: combinational limit cycle with period "
+                    f"{period}: nets oscillate forever: "
+                    + ", ".join(toggling[:12])
+                    + ("..." if len(toggling) > 12 else ""),
+                    nets=toggling,
+                    period=period,
+                ).with_state(self.state_dump())
+            seen[fingerprint] = i
+            history.append(state)
+            if not sweep():
+                return
+        raise CombinationalLoopError(
+            f"{self.path}: combinational logic did not converge after "
+            f"{spent_iters + self.OSCILLATION_PROBE_ITERS} iterations "
+            f"(values still changing; not a finite limit cycle)"
+        ).with_state(self.state_dump())
+
+    # -- watchdog support ----------------------------------------------------
+    def _active_groups(self) -> List[str]:
+        return sorted(self.executor.active_groups() if self._running() else ())
+
+    def state_dump(self, max_nets: int = 48) -> str:
+        """Human-readable snapshot of nets and control state for reports."""
+        lines = [f"instance {self.path}:"]
+        if self.comp.groups:
+            lines.append(f"  active groups: {', '.join(self._active_groups()) or '(none)'}")
+        nets = sorted((ref.to_string(), val) for ref, val in self.nets.items())
+        for name, val in nets[:max_nets]:
+            lines.append(f"  {name} = {val}")
+        if len(nets) > max_nets:
+            lines.append(f"  ... ({len(nets) - max_nets} more nets)")
+        for child in self._subinstances:
+            lines.append(child.state_dump(max_nets=max_nets // 2))
+        return "\n".join(lines)
+
+    def done_signature(self) -> Tuple:
+        """Values of every ``done``-like net, recursively.
+
+        The watchdog fingerprints this each cycle: in any design still
+        making progress some group, cell, or component ``done`` changes
+        within a bounded window; a frozen signature means deadlock.
+        """
+        values: List[object] = self._done_values()
+        for child in self._subinstances:
+            values.append(child.done_signature())
+        return tuple(values)
+
+    def stuck_groups(self) -> List[str]:
+        """Dotted names of groups active right now, recursively."""
+        out = [f"{self.path}.{name}" for name in self._active_groups()]
+        for child in self._subinstances:
+            out.extend(child.stuck_groups())
+        return out
+
+    def deadlock_report(self) -> str:
+        """Explain what each active group's done condition is waiting on."""
+        lines: List[str] = []
+        active = self._active_groups()
+        for name in active:
+            group = self.comp.groups[name]
+            lines.append(f"{self.path}: group {name!r} is stuck; waiting on:")
+            done_writes = group.done_assignments()
+            if not done_writes:
+                lines.append("    (group has no done condition)")
+            for assign in done_writes:
+                guard_val = eval_guard(assign.guard, self.read)
+                src_val = self.read(assign.src)
+                lines.append(
+                    f"    {assign.to_string()}  "
+                    f"[guard={'1' if guard_val else '0'}, src={src_val}]"
+                )
+        if not active and self._running() and self.comp.groups:
+            lines.append(
+                f"{self.path}: running but no group is active "
+                f"(control executor state inconsistent?)"
+            )
+        for child in self._subinstances:
+            sub = child.deadlock_report()
+            if sub:
+                lines.append(sub)
+        return "\n".join(lines)
+
+    # -- inspection ----------------------------------------------------------
+    def find(self, path: str) -> object:
+        """Locate a child instance by dotted cell path (e.g. ``"pe0.acc"``)."""
+        node: object = self
+        for part in path.split("."):
+            if not isinstance(node, SimInstance) or part not in node.children:
+                raise UndefinedError(f"no cell at path {path!r}")
+            node = node.children[part]
+        return node
+
+    def find_model(self, path: str) -> PrimitiveModel:
+        node = self.find(path)
+        if isinstance(node, PrimitiveModel):
+            return node
+        raise UndefinedError(f"cell at {path!r} is not a primitive")
+
+
+class ComponentInstance(SimInstance):
+    """The sweep engine: every assignment and child, every sweep, to fixpoint."""
+
+    def __init__(self, program: Program, comp: Component, path: str = "main"):
+        self.nets: Dict[PortRef, int] = {}
+        super().__init__(program, comp, path)
+        self._child_inputs: Dict[str, List[str]] = {
+            cell.name: [
+                p.name
+                for p in program.cell_signature(cell).values()
+                if p.direction is Direction.INPUT
+            ]
+            for cell in comp.cells.values()
+        }
         # All destinations any assignment can drive: undriven ones read 0.
         # Every group's go hole is included so that groups leaving the
         # active set release their assignments.
@@ -147,27 +326,6 @@ class ComponentInstance:
         self._max_iters = 8 * (
             len(list(comp.all_assignments())) + len(self.children) + 8
         )
-        self._go_was_high = False
-
-    def _make_child(self, cell) -> object:
-        name = cell.comp_name
-        if self.program.has_component(name):
-            target = self.program.get_component(name)
-            # Extern components have no body; they need a registered model.
-            if target.cells or target.groups or target.continuous or not target.control.is_empty():
-                return ComponentInstance(self.program, target, f"{self.path}.{cell.name}")
-            is_extern = any(
-                any(c.name == name for c in e.components) for e in self.program.externs
-            )
-            if is_extern:
-                return PrimitiveInstance(
-                    make_model(name, cell.args),
-                    [p.name for p in target.inputs],
-                )
-            return ComponentInstance(self.program, target, f"{self.path}.{cell.name}")
-        sig = self.program.cell_signature(cell)
-        inputs = [p.name for p in sig.values() if p.direction is Direction.INPUT]
-        return PrimitiveInstance(make_model(name, cell.args), inputs)
 
     # -- net access -----------------------------------------------------
     def read(self, ref: PortRef) -> int:
@@ -181,25 +339,25 @@ class ComponentInstance:
             return True
         return False
 
+    def _apply_inputs(self, inputs: Dict[str, int]) -> None:
+        for name, value in inputs.items():
+            self.nets[ThisPort(name)] = value
+
+    def _reset_nets(self) -> None:
+        self.nets.clear()
+
+    def _done_values(self) -> List[int]:
+        return [
+            val
+            for ref, val in self.nets.items()
+            if getattr(ref, "port", None) == DONE
+        ]
+
     # -- the primitive protocol --------------------------------------------
     def comb(self, inputs: Dict[str, int]) -> Dict[str, int]:
-        for name, value in inputs.items():
-            self.nets[ThisPort(name)] = value
+        self._apply_inputs(inputs)
         self.settle()
         return {p.name: self.read(ThisPort(p.name)) for p in self.comp.outputs}
-
-    def tick(self, inputs: Dict[str, int]) -> None:
-        for name, value in inputs.items():
-            self.nets[ThisPort(name)] = value
-        self.settle()
-        self.step_edge()
-
-    def reset(self) -> None:
-        self.nets.clear()
-        self.executor.reset()
-        for child in self.children.values():
-            child.reset()
-        self._go_was_high = False
 
     # -- simulation core ----------------------------------------------------
     def _running(self) -> bool:
@@ -218,12 +376,15 @@ class ComponentInstance:
         running = self._running()
         active = self.executor.active_groups() if running else set()
         forced = self.executor.forced_groups() if running else set()
-        assigns = self._collect_assignments(active)
+        assigns = self._collect_assignments()
         read = self.read
         for _ in range(self._max_iters):
             if not self._settle_once(assigns, active, forced, read):
                 return
-        self._diagnose_nonconvergence(assigns, active, forced, read)
+        self._probe_nonconvergence(
+            lambda: self._settle_once(assigns, active, forced, read),
+            self._max_iters,
+        )
 
     def _settle_once(
         self,
@@ -280,65 +441,7 @@ class ComponentInstance:
             changed |= self._set(ThisPort(DONE), done_value)
         return changed
 
-    #: Extra probe sweeps used to tell a limit cycle from non-convergence.
-    OSCILLATION_PROBE_ITERS = 64
-
-    def _diagnose_nonconvergence(
-        self,
-        assigns: List[Tuple[Optional[str], Assignment]],
-        active: Set[str],
-        forced: Set[str],
-        read: ReadFn,
-    ) -> None:
-        """The settle loop ran out of iterations: classify the failure.
-
-        Keep sweeping for a bounded number of extra iterations while
-        fingerprinting the net state. A repeated fingerprint proves a true
-        combinational limit cycle (:class:`OscillationError`, reporting the
-        nets that toggle and the period); no repeat within the probe means
-        generic non-convergence (:class:`CombinationalLoopError`).
-        """
-        from repro.errors import OscillationError
-
-        seen: Dict[Tuple, int] = {}
-        history: List[Dict[PortRef, int]] = []
-        for i in range(self.OSCILLATION_PROBE_ITERS):
-            fingerprint = tuple(
-                sorted((ref.to_string(), val) for ref, val in self.nets.items())
-            )
-            if fingerprint in seen:
-                start = seen[fingerprint]
-                period = i - start
-                cycle_states = history[start:]
-                toggling = sorted(
-                    {
-                        ref.to_string()
-                        for state in cycle_states
-                        for ref, val in state.items()
-                        if any(s.get(ref, 0) != val for s in cycle_states)
-                    }
-                )
-                raise OscillationError(
-                    f"{self.path}: combinational limit cycle with period "
-                    f"{period}: nets oscillate forever: "
-                    + ", ".join(toggling[:12])
-                    + ("..." if len(toggling) > 12 else ""),
-                    nets=toggling,
-                    period=period,
-                ).with_state(self.state_dump())
-            seen[fingerprint] = i
-            history.append(dict(self.nets))
-            if not self._settle_once(assigns, active, forced, read):
-                return  # converged late after all
-        raise CombinationalLoopError(
-            f"{self.path}: combinational logic did not converge after "
-            f"{self._max_iters + self.OSCILLATION_PROBE_ITERS} iterations "
-            f"(values still changing; not a finite limit cycle)"
-        ).with_state(self.state_dump())
-
-    def _collect_assignments(
-        self, active: Set[str]
-    ) -> List[Tuple[Optional[str], Assignment]]:
+    def _collect_assignments(self) -> List[Tuple[Optional[str], Assignment]]:
         """All assignments that may fire this cycle, with their gate group.
 
         Writes to a group's own done hole are ungated (gate ``None``): this
@@ -350,7 +453,7 @@ class ComponentInstance:
         result: List[Tuple[Optional[str], Assignment]] = list(
             static_drivers(self.comp)
         )
-        result.extend(self.executor.extra_assignments(active))
+        result.extend(self.executor.extra_assignments())
         return result
 
     def step_edge(self) -> None:
@@ -363,114 +466,9 @@ class ComponentInstance:
                 for port in self._child_inputs[name]
             }
             pending.append((child, ins))
-        if self._running():
-            self.executor.step()
-            self._go_was_high = True
-        elif self._go_was_high:
-            # The calling convention: control state resets once go falls.
-            self.executor.reset()
-            self._go_was_high = False
+        self._step_control()
         for child, ins in pending:
             child.tick(ins)
-
-    # -- watchdog support ----------------------------------------------------
-    def state_dump(self, max_nets: int = 48) -> str:
-        """Human-readable snapshot of nets and control state for reports."""
-        lines = [f"instance {self.path}:"]
-        if self.comp.groups:
-            active = sorted(
-                self.executor.active_groups() if self._running() else set()
-            )
-            lines.append(f"  active groups: {', '.join(active) or '(none)'}")
-        nets = sorted(
-            ((ref.to_string(), val) for ref, val in self.nets.items()),
-        )
-        for name, val in nets[:max_nets]:
-            lines.append(f"  {name} = {val}")
-        if len(nets) > max_nets:
-            lines.append(f"  ... ({len(nets) - max_nets} more nets)")
-        for child in self.children.values():
-            if isinstance(child, ComponentInstance):
-                lines.append(child.state_dump(max_nets=max_nets // 2))
-        return "\n".join(lines)
-
-    def done_signature(self) -> Tuple:
-        """Values of every ``done``-like net, recursively.
-
-        The watchdog fingerprints this each cycle: in any design still
-        making progress some group, cell, or component ``done`` changes
-        within a bounded window; a frozen signature means deadlock.
-        """
-        values: List[object] = [
-            val
-            for ref, val in self.nets.items()
-            if getattr(ref, "port", None) == DONE
-        ]
-        for child in self.children.values():
-            if isinstance(child, ComponentInstance):
-                values.append(child.done_signature())
-        return tuple(values)
-
-    def stuck_groups(self) -> List[str]:
-        """Dotted names of groups active right now, recursively."""
-        out = [
-            f"{self.path}.{name}"
-            for name in sorted(
-                self.executor.active_groups() if self._running() else set()
-            )
-        ]
-        for child in self.children.values():
-            if isinstance(child, ComponentInstance):
-                out.extend(child.stuck_groups())
-        return out
-
-    def deadlock_report(self) -> str:
-        """Explain what each active group's done condition is waiting on."""
-        lines: List[str] = []
-        active = sorted(
-            self.executor.active_groups() if self._running() else set()
-        )
-        for name in active:
-            group = self.comp.groups[name]
-            lines.append(f"{self.path}: group {name!r} is stuck; waiting on:")
-            done_writes = group.done_assignments()
-            if not done_writes:
-                lines.append("    (group has no done condition)")
-            for assign in done_writes:
-                guard_val = eval_guard(assign.guard, self.read)
-                src_val = self.read(assign.src)
-                lines.append(
-                    f"    {assign.to_string()}  "
-                    f"[guard={'1' if guard_val else '0'}, src={src_val}]"
-                )
-        if not active and self._running() and self.comp.groups:
-            lines.append(
-                f"{self.path}: running but no group is active "
-                f"(control executor state inconsistent?)"
-            )
-        for child in self.children.values():
-            if isinstance(child, ComponentInstance):
-                sub = child.deadlock_report()
-                if sub:
-                    lines.append(sub)
-        return "\n".join(lines)
-
-    # -- inspection ----------------------------------------------------------
-    def find(self, path: str) -> object:
-        """Locate a child instance by dotted cell path (e.g. ``"pe0.acc"``)."""
-        parts = path.split(".")
-        node: object = self
-        for part in parts:
-            if not isinstance(node, ComponentInstance) or part not in node.children:
-                raise UndefinedError(f"no cell at path {path!r}")
-            node = node.children[part]
-        return node
-
-    def find_model(self, path: str) -> PrimitiveModel:
-        node = self.find(path)
-        if isinstance(node, PrimitiveInstance):
-            return node.model
-        raise UndefinedError(f"cell at {path!r} is not a primitive")
 
 
 # ---------------------------------------------------------------------------
@@ -547,24 +545,9 @@ class _InvokeState(_NodeState):
         super().__init__(owner)
         self.node = node
         self._finished = False
-        self._assigns: List[Tuple[Optional[str], Assignment]] = []
-        cell = node.cell
-        for port, src in node.in_binds.items():
-            self._assigns.append((None, Assignment(CellPort(cell, port), src)))
-        for port, dst in node.out_binds.items():
-            self._assigns.append((None, Assignment(dst, CellPort(cell, port))))
-        # The go pulse is gated by !done, like a compiled enable, so the
-        # callee is not re-started during the done-observation cycle.
-        self._assigns.append(
-            (
-                None,
-                Assignment(
-                    CellPort(cell, GO),
-                    ConstPort(1, 1),
-                    NotGuard(PortGuard(CellPort(cell, DONE))),
-                ),
-            )
-        )
+        self._assigns: List[Tuple[Optional[str], Assignment]] = [
+            (None, assign) for assign in invoke_assignments(node)
+        ]
 
     def start(self) -> None:
         self._finished = False
@@ -836,19 +819,11 @@ class _RepeatState(_NodeState):
 class ControlExecutor:
     """Executes a component's control tree cycle-by-cycle."""
 
-    def __init__(self, instance: ComponentInstance, control: Control):
+    def __init__(self, instance: SimInstance, control: Control):
         self.instance = instance
         self.control = control
         self.root = self.make_state(control)
         self.root.start()
-        self._all_invoke_dsts: List[PortRef] = []
-        for node in control.walk():
-            if isinstance(node, Invoke):
-                self._all_invoke_dsts.append(CellPort(node.cell, GO))
-                for port in node.in_binds:
-                    self._all_invoke_dsts.append(CellPort(node.cell, port))
-                for dst in node.out_binds.values():
-                    self._all_invoke_dsts.append(dst)
 
     def make_state(self, node: Control) -> _NodeState:
         if isinstance(node, Empty):
@@ -884,9 +859,7 @@ class ControlExecutor:
             self.root.forced_groups(out)
         return out
 
-    def extra_assignments(
-        self, active: Set[str]
-    ) -> List[Tuple[Optional[str], Assignment]]:
+    def extra_assignments(self) -> List[Tuple[Optional[str], Assignment]]:
         out: List[Tuple[Optional[str], Assignment]] = []
         if not self.root.is_done():
             self.root.extra_assignments(out)
@@ -902,11 +875,8 @@ class ControlExecutor:
     def extra_dsts(self) -> Iterable[PortRef]:
         for node in self.control.walk():
             if isinstance(node, Invoke):
-                yield CellPort(node.cell, GO)
-                for port in node.in_binds:
-                    yield CellPort(node.cell, port)
-                for dst in node.out_binds.values():
-                    yield dst
+                for assign in invoke_assignments(node):
+                    yield assign.dst
 
     def finished(self) -> bool:
         return self.root.is_done()

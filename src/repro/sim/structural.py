@@ -1,6 +1,6 @@
 """Structural analysis shared by both simulation engines.
 
-Two jobs live here:
+Three jobs live here:
 
 * :func:`static_drivers` enumerates every assignment a component can ever
   fire, tagged with its *gate group* (the group whose ``go`` hole must be
@@ -8,6 +8,8 @@ Two jobs live here:
   and a group's own ``done`` write). Both engines build their evaluation
   structures from this one enumeration, so they cannot disagree about
   which assignments exist.
+* :func:`invoke_assignments` is the one definition of the wires an active
+  ``invoke`` adds, used by the control executor and the levelized engine.
 * :func:`check_structural_drivers` rejects definite multiple-driver races
   at engine-construction time. The sweep engine's per-sweep conflict check
   compares *values*, so two always-active drivers of the same port were
@@ -21,8 +23,10 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import MultipleDriverError
-from repro.ir.ast import Assignment, Component, HolePort, PortRef
-from repro.ir.ports import DONE
+from repro.ir.ast import Assignment, CellPort, Component, ConstPort, HolePort, PortRef
+from repro.ir.control import Invoke
+from repro.ir.guards import NotGuard, PortGuard
+from repro.ir.ports import DONE, GO
 
 #: The gate tag for assignments that are live whenever the component runs.
 ALWAYS = None
@@ -49,6 +53,20 @@ def static_drivers(
             yield (None if is_own_done else group.name, assign)
     for assign in comp.continuous:
         yield (None, assign)
+
+
+def invoke_assignments(node: Invoke) -> List[Assignment]:
+    """The assignments live while ``node`` runs: in-binds, out-binds, ``go``.
+
+    The go pulse is gated by ``!done``, like a compiled enable, so the
+    callee is not re-started during the done-observation cycle.
+    """
+    cell = node.cell
+    return [
+        *(Assignment(CellPort(cell, port), src) for port, src in node.in_binds.items()),
+        *(Assignment(dst, CellPort(cell, port)) for port, dst in node.out_binds.items()),
+        Assignment(CellPort(cell, GO), ConstPort(1, 1), NotGuard(PortGuard(CellPort(cell, DONE)))),
+    ]
 
 
 def check_structural_drivers(comp: Component, path: str = "main") -> None:

@@ -22,7 +22,7 @@ from repro.errors import (
 from repro.ir.ast import Program, ThisPort
 from repro.ir.ports import DONE, GO
 from repro.sim.fastmodel import FastComponentInstance
-from repro.sim.model import ComponentInstance
+from repro.sim.model import ComponentInstance, SimInstance
 from repro.stdlib.behaviors import MemD1Model, MemD2Model
 
 DEFAULT_MAX_CYCLES = 5_000_000
@@ -72,7 +72,7 @@ class Watchdog:
     max_cycles: int = DEFAULT_MAX_CYCLES
     wall_clock_seconds: Optional[float] = None
     deadlock_window: int = DEFAULT_DEADLOCK_WINDOW
-    fault_hook: Optional[Callable[[int, ComponentInstance], None]] = None
+    fault_hook: Optional[Callable[[int, SimInstance], None]] = None
 
 
 @dataclass
@@ -148,12 +148,11 @@ class Testbench:
 
     def memory_paths(self) -> List[str]:
         """Dotted paths of all memories directly inside the main component."""
-        paths = []
-        for name, child in self.instance.children.items():
-            model = getattr(child, "model", None)
-            if isinstance(model, (MemD1Model, MemD2Model)):
-                paths.append(name)
-        return paths
+        return [
+            name
+            for name, child in self.instance.children.items()
+            if isinstance(child, (MemD1Model, MemD2Model))
+        ]
 
     def register_value(self, path: str) -> int:
         from repro.stdlib.behaviors import RegModel

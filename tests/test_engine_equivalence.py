@@ -19,12 +19,15 @@ import os
 
 import pytest
 
+from repro.errors import SimulationError, UndefinedError
 from repro.frontends.dahlia import compile_dahlia
 from repro.ir import parse_program
 from repro.passes import PIPELINES, compile_program
-from repro.sim import Testbench
+from repro.sim import Testbench, Watchdog, run_program
 from repro.sim.fuzz import canonical_done_nets
 from repro.workloads.polybench import ALL_KERNELS, get_kernel
+from tests.test_levelized_robustness import ADDER_FEEDBACK
+from tests.test_robustness import DEADLOCK, OSCILLATOR
 
 #: Every way this repo can lower a program before simulating it.
 #: ``interpret`` is the unlowered control-executor path; ``validate``
@@ -259,3 +262,76 @@ def test_inlined_primitive_semantics(name, pipeline):
         compile_program(program, pipeline)
     observed = run_both_engines(program, memories)["memories"]
     assert {path: observed[path] for path in expected} == expected
+
+
+# ---------------------------------------------------------------------------
+# Both engines report failures the same way
+# ---------------------------------------------------------------------------
+
+#: ``main`` invokes ``s``, whose only group never finishes: the deadlock
+#: report, stuck groups and state come from the nested instance.
+NESTED_DEADLOCK = """
+component sub(go: 1) -> (done: 1) {
+  cells { r = std_reg(1); }
+  wires {
+    group stuck {
+      r.in = 1'd1;
+      stuck[done] = r.out ? 1'd1;
+    }
+  }
+  control { stuck; }
+}
+component main(go: 1) -> (done: 1) {
+  cells { s = sub(); }
+  wires {}
+  control { invoke s()(); }
+}
+"""
+
+
+def _failure(source, engine):
+    with pytest.raises(SimulationError) as info:
+        run_program(
+            parse_program(source),
+            watchdog=Watchdog(max_cycles=100_000, deadlock_window=64),
+            engine=engine,
+        )
+    return info.value
+
+
+def _oscillation(engine):
+    err = _failure(OSCILLATOR, engine)
+    return type(err), err.nets, err.period, str(err)
+
+
+def _deadlock(source, engine):
+    err = _failure(source, engine)
+    return type(err), str(err), err.stuck_groups, err.cycles
+
+
+def _find_model_errors(engine):
+    instance = Testbench(parse_program(NESTED_DEADLOCK), engine=engine).instance
+    texts = []
+    for path in ["s", "s.nothing", "s.r.x", "zz"]:
+        with pytest.raises(UndefinedError) as info:
+            instance.find_model(path)
+        texts.append(str(info.value))
+    return texts
+
+
+DIAGNOSES = {
+    "oscillator": _oscillation,
+    # The iteration count in the message is engine-specific.
+    "adder-feedback": lambda engine: type(_failure(ADDER_FEEDBACK, engine)),
+    "deadlock": lambda engine: _deadlock(DEADLOCK, engine),
+    "nested-deadlock": lambda engine: _deadlock(NESTED_DEADLOCK, engine),
+    "find-model": _find_model_errors,
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIAGNOSES))
+def test_diagnostics_match(case):
+    """Oscillation, non-convergence, deadlock and lookup failures carry the
+    same class, nets, period, report and cycle under both engines."""
+    sweep = DIAGNOSES[case]("sweep")
+    assert DIAGNOSES[case]("levelized") == sweep
